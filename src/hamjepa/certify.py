@@ -54,21 +54,25 @@ from .hamflow import (
 from .numlin import SPDOperator, SymMatrix, spd_inverse
 from .objectives import (
     MatchSpec,
+    RefreshCache,
     RegularizerSpec,
     SIGRegSpec,
-    SliceCache,
+    orthonormal_projection,
     prediction_loss,
     projected_logdet_floor,
     sigreg_statistic,
+    unit_slices,
 )
 from .trainer import (
     OptimizerState,
     ScheduleSpec,
-    _grouped_adamw,
+    adamw_step,
     encoder_forward,
     exact_quadratic_flow,
     generate_views,
+    hamjepa_loss_and_grads,
     lr_at,
+    named_params,
     synthetic_spec_from_config,
     train,
     validate_config,
@@ -304,32 +308,20 @@ def _end_to_end_gradcheck(seed: int) -> float:
     net = init_potential(8, np.random.default_rng(seed + 2), hidden_dim=16, depth=2, alpha=1.0, scale=0.5)
     settings = trainer._build_settings(cfg)
 
-    def run(enc2, net2, capture=None):
+    def loss_and_grads(enc2, net2):
         caches = {
-            "q_proj": trainer.ProjectionCache(
-                8, settings.reg_q.proj_dim, 16, np.random.default_rng(seed + 3)
+            "q_proj": RefreshCache(
+                orthonormal_projection, 8, settings.reg_q.proj_dim, 16,
+                np.random.default_rng(seed + 3),
             ),
-            "p_proj": trainer.ProjectionCache(
-                8, settings.reg_p.proj_dim, 16, np.random.default_rng(seed + 4)
+            "p_proj": RefreshCache(
+                orthonormal_projection, 8, settings.reg_p.proj_dim, 16,
+                np.random.default_rng(seed + 4),
             ),
         }
-        opt = OptimizerState()
-        params = trainer._flatten_params(enc2, net2)
-        saved = trainer._grouped_adamw
-        if capture is not None:
-            trainer._grouped_adamw = lambda o, p, g, l: capture.update(
-                {k: v.copy() for k, v in g.items()}
-            )
-        try:
-            report = trainer.hamjepa_train_step(
-                enc2, net2, va, vb, settings, caches, opt, params, 0.0, 0.0, 0.0, 0
-            )
-        finally:
-            trainer._grouped_adamw = saved
-        return report["total"]
+        return hamjepa_loss_and_grads(enc2, net2, va, vb, settings, caches, 0)
 
-    grads = {}
-    run(copy.deepcopy(enc), copy.deepcopy(net), grads)
+    _, grads = loss_and_grads(enc, net)
     h = 1e-6
     rng = np.random.default_rng(seed + 5)
     names = sorted(grads)
@@ -341,10 +333,10 @@ def _end_to_end_gradcheck(seed: int) -> float:
 
         def perturbed(eps):
             e2, n2 = copy.deepcopy(enc), copy.deepcopy(net)
-            target = e2 if name.startswith("enc.") else n2
-            arrays = target.weights if ".w" in name else target.biases
-            arrays[int(name[-1])][sel] += eps
-            return run(e2, n2)
+            params = named_params("enc", e2.weights, e2.biases)
+            params.update(named_params("pot", n2.weights, n2.biases))
+            params[name][sel] += eps
+            return loss_and_grads(e2, n2)[0]["total"]
 
         fd = (perturbed(h) - perturbed(-h)) / (2 * h)
         worst = max(worst, abs(g[sel] - fd) / max(abs(fd), 1e-6))
@@ -683,8 +675,8 @@ def check_anti_collapse_witnesses(seed: int) -> CheckResult:
 def check_sigreg_calibration(seed: int) -> CheckResult:
     """The sliced-CF statistic is small and stable on the standard normal
     null and grows by an order of magnitude under a mean shift."""
-    spec = SIGRegSpec(n_slices=64)
-    slices = SliceCache(8, 64, 16, np.random.default_rng(seed)).get(0)
+    spec = SIGRegSpec()
+    slices = RefreshCache(unit_slices, 8, 64, 16, np.random.default_rng(seed)).get(0)
     rng = np.random.default_rng(seed + 1)
     nulls = []
     for n in (10_000, 100_000):
@@ -803,10 +795,7 @@ def check_expressivity(seed: int) -> CheckResult:
     qt, pt = exact_quadratic_flow(h_true, dt * steps, q0, p0)
 
     net = init_potential(d0, np.random.default_rng(seed + 1), hidden_dim=64, depth=2, alpha=2.0, scale=2.0)
-    params = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        params[f"pot.w{i}"] = w
-        params[f"pot.b{i}"] = b
+    params = named_params("pot", net.weights, net.biases)
     opt = OptimizerState(weight_decay=0.0)
     spec = RolloutSpec("leapfrog", dt, steps, 1)
     match = MatchSpec("qp", detach_target=True)
@@ -823,12 +812,9 @@ def check_expressivity(seed: int) -> CheckResult:
             res = prediction_loss(
                 net, PhaseState(q0[idx], p0[idx]), PhaseState(qt[idx], pt[idx]), spec, match
             )
-            grads = {}
-            for i in range(len(net.weights)):
-                grads[f"pot.w{i}"] = res.net_grads.d_weights[i]
-                grads[f"pot.b{i}"] = res.net_grads.d_biases[i]
+            grads = named_params("pot", res.net_grads.d_weights, res.net_grads.d_biases)
             lr = lr_at(sched, 5e-3, epoch + (b + 1) / (n // batch))
-            _grouped_adamw(opt, params, grads, {name: lr for name in params})
+            adamw_step(opt, params, grads, dict.fromkeys(params, lr))
 
     pred = rollout(net, PhaseState(q0, p0), spec)
     rmse_model = float(np.sqrt(np.mean((pred.q - qt) ** 2)))
@@ -875,7 +861,8 @@ def check_determinism(seed: int, workdir: str | None = None) -> CheckResult:
             for f in sorted(files):
                 path = os.path.join(dirpath, f)
                 rel = os.path.relpath(path, root)
-                digests[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
+                with open(path, "rb") as fh:
+                    digests[rel] = hashlib.sha256(fh.read()).hexdigest()
         return digests
 
     identical = True

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numlin import (
-    NotPositiveDefiniteError,
     SPDOperator,
     SymMatrix,
     cholesky_factor,
@@ -295,14 +294,6 @@ def maxent_gaussian_entropy_gap(b: GeometryBudget, sigma_alt: SymMatrix) -> floa
 # variance is probed by evaluating w' Sigma w on candidate directions, and
 # minimax optimality by evaluating sampled budget-feasible covariances.
 # ---------------------------------------------------------------------------
-
-
-def sample_task_directions(h: SPDOperator, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws on the boundary of the task-vector ball: w = H^{1/2} u
-    with u uniform on the unit sphere.  Rows are directions."""
-    u = rng.standard_normal((n, h.dim))
-    u /= np.sqrt(np.sum(u * u, axis=1, keepdims=True))
-    return u @ spd_sqrt(h).entries
 
 
 def sampled_worst_case_variance(

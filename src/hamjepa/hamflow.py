@@ -15,7 +15,7 @@ nothing is recomputed in the backward pass.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,12 +204,12 @@ def _force_backward(
     return q_bar
 
 
-def _value_backward(
+def potential_value_backward(
     net: PotentialNet, rec: ForceRecord, c: np.ndarray, grads: PotentialGrads
 ) -> np.ndarray:
-    """Backward through sum_b c_b * V(q_b): returns the q_bar contribution
-    (c * grad V, reusing the stored gradient) and accumulates the parameter
-    derivatives at fixed q."""
+    """Backward through sum_b c_b * V(q_b) for a stored evaluation record:
+    returns the q_bar contribution (c * grad V, reusing the stored gradient)
+    and accumulates the parameter derivatives at fixed q."""
     q_bar = c[:, None] * rec.grad
     grads.d_alpha += float(np.sum(c * 0.5 * np.sum(rec.q * rec.q, axis=1)))
     grads.d_scale += float(np.sum(c * rec.f))
@@ -258,29 +258,7 @@ def hamiltonian_energy(net: PotentialNet, state: PhaseState):
 
 def leapfrog_step(net: PotentialNet, state: PhaseState, dt: float) -> PhaseState:
     """One half-kick / drift / half-kick update with step dt (sign allowed)."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    q2d, squeeze = _as_batch(state.q)
-    p2d, _ = _as_batch(state.p)
-    p_half = p2d - 0.5 * dt * _eval_force(net, q2d).grad
-    q_new = q2d + dt * p_half
-    p_new = p_half - 0.5 * dt * _eval_force(net, q_new).grad
-    if squeeze:
-        return PhaseState(q_new[0], p_new[0])
-    return PhaseState(q_new, p_new)
-
-
-def symplectic_euler_step(net: PotentialNet, state: PhaseState, dt: float) -> PhaseState:
-    """Kick then drift with the updated momentum."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    q2d, squeeze = _as_batch(state.q)
-    p2d, _ = _as_batch(state.p)
-    p_new = p2d - dt * _eval_force(net, q2d).grad
-    q_new = q2d + dt * p_new
-    if squeeze:
-        return PhaseState(q_new[0], p_new[0])
-    return PhaseState(q_new, p_new)
+    return rollout(net, state, RolloutSpec("leapfrog", abs(dt), 1, 1 if dt > 0 else -1))
 
 
 class RolloutTape:
@@ -381,21 +359,6 @@ def _rollout_loop(net, q2d, p2d, h, spec, records):
     return q, p
 
 
-def param_gradients(tape: RolloutTape, upstream: PhaseState) -> PotentialGrads:
-    """Parameter gradients of a scalar loss whose state gradient at the
-    rollout output is ``upstream``."""
-    _, _, grads = tape.backward(upstream.q, upstream.p)
-    return grads
-
-
-def potential_value_backward(
-    net: PotentialNet, record: ForceRecord, upstream: np.ndarray, grads: PotentialGrads
-) -> np.ndarray:
-    """Backward of sum_b upstream_b * V(q_b) for a stored evaluation record:
-    accumulates parameter gradients and returns the q gradient."""
-    return _value_backward(net, record, np.asarray(upstream, dtype=np.float64), grads)
-
-
 def flow_jacobian_fd(
     net: PotentialNet, state: PhaseState, spec: RolloutSpec, h: float = 1e-5
 ) -> np.ndarray:
@@ -422,9 +385,11 @@ def flow_jacobian_fd(
 
 
 # --- flat parameter serialization --------------------------------------------
-# Format: <prefix>.bin holds all layer parameters as little-endian float64 in
-# layer order (W row-major, then b); <prefix>.json is the sidecar with layer
-# shapes plus the scalar alpha / residual scale.
+# Format: <prefix>.bin holds all parameters as little-endian float64; a layer
+# list is stored in layer order (W row-major, then b).  <prefix>.json is the
+# sidecar with the format tag, the kind, the layer shapes and any scalars.
+
+FLAT_FORMAT = "hamjepa-flat-v1"
 
 
 def write_flat_params(prefix: str, arrays: list, meta: dict):
@@ -441,38 +406,34 @@ def write_flat_params(prefix: str, arrays: list, meta: dict):
         fh.write("\n")
 
 
-def read_flat_params(prefix: str) -> tuple[np.ndarray, dict]:
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    flat = np.frombuffer(open(f"{prefix}.bin", "rb").read(), dtype="<f8").astype(np.float64)
-    if flat.size != meta["param_count"]:
-        raise ValueError(f"{prefix}.bin holds {flat.size} values, sidecar says {meta['param_count']}")
-    return flat, meta
-
-
-def save_potential(net: PotentialNet, prefix: str):
-    arrays = []
-    shapes = []
-    for w, b in zip(net.weights, net.biases):
-        arrays.extend([w, b])
-        shapes.append(list(w.shape))
+def write_layers(prefix: str, kind: str, weights: list, biases: list, **scalars):
+    """Store a (weights, biases) layer list; ``scalars`` go into the sidecar."""
     write_flat_params(
         prefix,
-        arrays,
+        [a for pair in zip(weights, biases) for a in pair],
         {
-            "format": "hamjepa-flat-v1",
-            "kind": "potential",
-            "alpha": net.alpha,
-            "residual_scale": net.scale,
-            "layer_shapes": shapes,
+            "format": FLAT_FORMAT,
+            "kind": kind,
+            "layer_shapes": [list(w.shape) for w in weights],
+            **scalars,
         },
     )
 
 
-def load_potential(prefix: str) -> PotentialNet:
-    flat, meta = read_flat_params(prefix)
-    if meta.get("kind") != "potential":
-        raise ValueError(f"{prefix} does not hold a potential (kind={meta.get('kind')!r})")
+def read_layers(prefix: str, kind: str) -> tuple[list, list, dict]:
+    """Inverse of write_layers: (weights, biases, sidecar).  A sidecar of
+    another format or kind, or a size mismatch, raises ValueError."""
+    with open(f"{prefix}.json") as fh:
+        meta = json.load(fh)
+    if meta.get("format") != FLAT_FORMAT or meta.get("kind") != kind:
+        raise ValueError(
+            f"{prefix} does not hold a {FLAT_FORMAT} {kind}"
+            f" (format={meta.get('format')!r}, kind={meta.get('kind')!r})"
+        )
+    with open(f"{prefix}.bin", "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    if flat.size != meta["param_count"]:
+        raise ValueError(f"{prefix}.bin holds {flat.size} values, sidecar says {meta['param_count']}")
     weights, biases = [], []
     pos = 0
     for out_d, in_d in meta["layer_shapes"]:
@@ -480,6 +441,17 @@ def load_potential(prefix: str) -> PotentialNet:
         pos += out_d * in_d
         biases.append(flat[pos : pos + out_d].copy())
         pos += out_d
+    return weights, biases, meta
+
+
+def save_potential(net: PotentialNet, prefix: str):
+    write_layers(
+        prefix, "potential", net.weights, net.biases, alpha=net.alpha, residual_scale=net.scale
+    )
+
+
+def load_potential(prefix: str) -> PotentialNet:
+    weights, biases, meta = read_layers(prefix, "potential")
     return PotentialNet(
         alpha=float(meta["alpha"]),
         scale=float(meta["residual_scale"]),

@@ -1,7 +1,8 @@
 """Loss and regularizer terms: rollout prediction consistency, the mean-of-
 views baseline prediction loss, the fixed-units energy budget, variance and
 projected log-det floors, the batch-mean penalty, the sliced
-characteristic-function statistic, and the weighted total.
+characteristic-function statistic, and the refresh cache for their random
+projections.
 
 Every term returns its value together with the exact gradient with respect
 to its batch input, so the training loop only has to chain them through the
@@ -22,7 +23,7 @@ from .hamflow import (
     potential_value_backward,
     rollout,
 )
-from .numlin import SymMatrix, cholesky_factor, cholesky_slogdet, orthonormalize_columns, sym_eig
+from .numlin import SymMatrix, cholesky_slogdet, orthonormalize_columns, sym_eig
 
 VAR_FLOOR_EPS = 1e-8  # inside the square root of the per-dimension std
 
@@ -74,10 +75,8 @@ def default_sigreg_knots(n_knots: int = 17, t_max: float = 4.0):
 
 @dataclass(frozen=True)
 class SIGRegSpec:
-    n_slices: int = 64
     knots: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[0])
     weights: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[1])
-    refresh_interval: int = 16
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
@@ -90,13 +89,27 @@ class SIGRegSpec:
         object.__setattr__(self, "weights", weights / weights.sum())
 
 
-class ProjectionCache:
-    """Orthonormal d x k projection, refreshed every ``refresh_interval``
-    steps from its own seeded generator."""
+def orthonormal_projection(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
+    """Orthonormal dim x k projection."""
+    return orthonormalize_columns(rng.standard_normal((dim, k)), rng)
 
-    def __init__(self, dim: int, k: int, refresh_interval: int, rng: np.random.Generator):
+
+def unit_slices(rng: np.random.Generator, dim: int, n_slices: int) -> np.ndarray:
+    """Unit-norm Gaussian slice directions, one per column."""
+    a = rng.standard_normal((dim, n_slices))
+    return a / np.sqrt(np.sum(a * a, axis=0, keepdims=True))
+
+
+class RefreshCache:
+    """A dim x width matrix ``draw(rng, dim, width)``, redrawn every
+    ``refresh_interval`` steps from its own seeded generator."""
+
+    def __init__(
+        self, draw, dim: int, width: int, refresh_interval: int, rng: np.random.Generator
+    ):
+        self.draw = draw
         self.dim = dim
-        self.k = k
+        self.width = width
         self.refresh_interval = refresh_interval
         self.rng = rng
         self.matrix = None
@@ -107,31 +120,7 @@ class ProjectionCache:
             step % self.refresh_interval == 0 and step != self._last_refresh
         )
         if due:
-            self.matrix = orthonormalize_columns(
-                self.rng.standard_normal((self.dim, self.k)), self.rng
-            )
-            self._last_refresh = step
-        return self.matrix
-
-
-class SliceCache:
-    """Unit-norm Gaussian slice directions (columns), refreshed per interval."""
-
-    def __init__(self, dim: int, n_slices: int, refresh_interval: int, rng: np.random.Generator):
-        self.dim = dim
-        self.n_slices = n_slices
-        self.refresh_interval = refresh_interval
-        self.rng = rng
-        self.matrix = None
-        self._last_refresh = None
-
-    def get(self, step: int) -> np.ndarray:
-        due = self.matrix is None or (
-            step % self.refresh_interval == 0 and step != self._last_refresh
-        )
-        if due:
-            a = self.rng.standard_normal((self.dim, self.n_slices))
-            self.matrix = a / np.sqrt(np.sum(a * a, axis=0, keepdims=True))
+            self.matrix = self.draw(self.rng, self.dim, self.width)
             self._last_refresh = step
         return self.matrix
 
@@ -324,7 +313,6 @@ def projected_logdet_floor(
     x: np.ndarray,
     reg: RegularizerSpec,
     projection: np.ndarray,
-    step: int = 0,
 ) -> tuple[float, FloorDiagnostics, np.ndarray]:
     """Volume, participation-ratio, and top-eigenvalue-fraction hinges on
     the covariance of the centered batch pushed through a fixed orthonormal
@@ -392,7 +380,7 @@ def projected_logdet_floor(
 
 
 def sigreg_statistic(
-    z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray, step: int = 0
+    z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Sliced characteristic-function statistic against the standard normal.
 
@@ -423,21 +411,3 @@ def sigreg_statistic(
     ).sum(axis=2)
     grad = dy @ slices.T
     return stat, grad
-
-
-def total_objective(
-    l_pred: float, terms: dict[str, float], weights: dict[str, float]
-) -> tuple[float, dict[str, float]]:
-    """Weighted sum of the prediction loss (unit weight) and named terms;
-    returns the total plus a per-term breakdown for logging.  Decoupled
-    weight decay lives in the optimizer, so it is reported, never added."""
-    breakdown = {"L_pred": l_pred}
-    total = l_pred
-    for name, value in terms.items():
-        lam = weights.get(name, 0.0)
-        if lam < 0:
-            raise ValueError(f"negative weight for {name}")
-        breakdown[name] = value
-        total += lam * value
-    breakdown["total"] = total
-    return total, breakdown

@@ -5,7 +5,8 @@ of a known quadratic stiffness, a small tanh encoder emitting phase-space
 states, AdamW with decoupled weight decay, warmup + cosine learning-rate
 and residual-scale schedules, and the two step types: the phase-space
 predictive step (rollout prediction plus anti-collapse regularizers) and
-the mean-of-views baseline step with the sliced-CF regularizer.
+the mean-of-views baseline step with the sliced-CF regularizer.  Each is a
+pure loss-and-gradients function followed by one shared update.
 
 Everything is driven by a JSON config validated against a strict schema
 (unknown keys are rejected with their path).  Identical config and seed
@@ -15,7 +16,7 @@ give bitwise-identical parameter trajectories, metrics, and checkpoints.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,17 +25,18 @@ from .hamflow import PhaseState, PotentialNet, RolloutSpec, init_potential
 from .numlin import SPDOperator, SymMatrix, orthonormalize_columns, sym_eig
 from .objectives import (
     MatchSpec,
-    ProjectionCache,
+    RefreshCache,
     RegularizerSpec,
     SIGRegSpec,
-    SliceCache,
     default_sigreg_knots,
     energy_budget,
     lejepa_prediction_loss,
     mean_penalty,
+    orthonormal_projection,
     prediction_loss,
     projected_logdet_floor,
     sigreg_statistic,
+    unit_slices,
     variance_floor,
 )
 
@@ -183,14 +185,33 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(state: OptimizerState, params: dict, grads: dict, lr: float):
-    """Decoupled-weight-decay adaptive update with bias correction.
+def adamw_step(state: OptimizerState, params: dict, grads: dict, lrs: dict):
+    """One shared-step AdamW update with a per-parameter learning rate.
 
-    The decay is applied multiplicatively before the adaptive step.  Updates
-    the parameter arrays in place and returns (params, state).
+    The decoupled decay is applied multiplicatively before the adaptive
+    step with bias correction.  Updates the parameter arrays in place.
     """
-    _grouped_adamw(state, params, grads, {name: lr for name in params})
-    return params, state
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingAbort(f"non-finite gradient for parameter {name!r}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        lr = lrs[name]
+        if state.weight_decay:
+            p *= 1.0 - lr * state.weight_decay
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 # --- schedules -----------------------------------------------------------------
@@ -203,7 +224,6 @@ class ScheduleSpec:
     min_lr_ratio: float = 0.05
     residual_scale_target: float = 0.5
     residual_warmup_epochs: float = 5.0
-    grad_clip: float = 1.0
 
     def __post_init__(self):
         if self.warmup_epochs > self.total_epochs:
@@ -390,25 +410,13 @@ def validate_config(raw: dict) -> dict:
 # --- training ------------------------------------------------------------------
 
 
-def _flatten_params(enc: Encoder, net: PotentialNet | None) -> dict:
-    params = {}
-    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
-        params[f"enc.w{i}"] = w
-        params[f"enc.b{i}"] = b
-    if net is not None:
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            params[f"pot.w{i}"] = w
-            params[f"pot.b{i}"] = b
-    return params
-
-
-def _clip_gradients(grads: dict, clip: float) -> float:
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if clip > 0 and norm > clip:
-        scale = clip / norm
-        for g in grads.values():
-            g *= scale
-    return norm
+def named_params(prefix: str, weights: list, biases: list) -> dict:
+    """``{prefix}.w{i}`` / ``{prefix}.b{i}`` entries in layer order."""
+    named = {}
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        named[f"{prefix}.w{i}"] = w
+        named[f"{prefix}.b{i}"] = b
+    return named
 
 
 @dataclass
@@ -421,21 +429,17 @@ class HamjepaStepSettings:
     lambdas: dict
 
 
-def hamjepa_train_step(
+def hamjepa_loss_and_grads(
     enc: Encoder,
     net: PotentialNet,
     view_a: np.ndarray,
     view_b: np.ndarray,
     settings: HamjepaStepSettings,
     caches: dict,
-    opt: OptimizerState,
-    params: dict,
-    lr: float,
-    h_lr: float,
-    grad_clip: float,
     step: int,
-) -> dict:
-    """One phase-space predictive step on a two-view batch.
+) -> tuple[dict, dict]:
+    """Loss breakdown and parameter gradients of one phase-space predictive
+    step on a two-view batch; updates nothing but the projection caches.
 
     Both views go through a single concatenated encoder forward; the
     prediction loss rolls the first view's states; the scale/variance/
@@ -461,10 +465,10 @@ def hamjepa_train_step(
         l_var_p, g_var_p = variance_floor(p_all, settings.reg_q.sigma_min)
         l_var += l_var_p
     lvol_q, diag_q, g_vol_q = projected_logdet_floor(
-        q_all, settings.reg_q, caches["q_proj"].get(step), step
+        q_all, settings.reg_q, caches["q_proj"].get(step)
     )
     lvol_p, diag_p, g_vol_p = projected_logdet_floor(
-        p_all, settings.reg_p, caches["p_proj"].get(step), step
+        p_all, settings.reg_p, caches["p_proj"].get(step)
     )
     l_logdet = lvol_q + lvol_p
     l_mean, g_mean = mean_penalty(z)
@@ -495,8 +499,6 @@ def hamjepa_train_step(
         "eigmax_frac_q": diag_q.eigmax_frac,
         "eigmax_frac_p": diag_p.eigmax_frac,
     }
-    if not np.isfinite(total):
-        raise TrainingAbort(f"non-finite loss: {breakdown}")
 
     dz = np.zeros_like(z)
     dz[:B, :d0] += pred.d_source.q
@@ -512,34 +514,22 @@ def hamjepa_train_step(
     dz += lam["mean"] * g_mean
 
     d_w, d_b = encoder_backward(enc, tape, dz)
-    grads = {}
-    for i in range(len(enc.weights)):
-        grads[f"enc.w{i}"] = d_w[i]
-        grads[f"enc.b{i}"] = d_b[i]
-    for i in range(len(net.weights)):
-        grads[f"pot.w{i}"] = pred.net_grads.d_weights[i]
-        grads[f"pot.b{i}"] = pred.net_grads.d_biases[i]
-
-    breakdown["grad_norm"] = _clip_gradients(grads, grad_clip)
-    lrs = {name: (h_lr if name.startswith("pot.") else lr) for name in params}
-    _grouped_adamw(opt, params, grads, lrs)
-    return breakdown
+    grads = named_params("enc", d_w, d_b)
+    grads.update(named_params("pot", pred.net_grads.d_weights, pred.net_grads.d_biases))
+    return breakdown, grads
 
 
-def lejepa_train_step(
+def lejepa_loss_and_grads(
     enc: Encoder,
     views: list,
     sigreg_spec: SIGRegSpec,
-    slice_cache: SliceCache,
+    slice_cache: RefreshCache,
     lambda_reg: float,
-    opt: OptimizerState,
-    params: dict,
-    lr: float,
-    grad_clip: float,
     step: int,
-) -> dict:
-    """One baseline step: every view predicts the mean of the global views,
-    and the sliced-CF statistic regularizes each view's batch."""
+) -> tuple[dict, dict]:
+    """Loss breakdown and encoder gradients of one baseline step: every view
+    predicts the mean of the global views, and the sliced-CF statistic
+    regularizes each view's batch."""
     V = len(views)
     B = views[0].shape[0]
     x_cat = np.concatenate(views, axis=0)
@@ -553,7 +543,7 @@ def lejepa_train_step(
     stats = []
     g_sig = np.zeros_like(z_views)
     for v in range(V):
-        s_v, g_v = sigreg_statistic(z_views[v], sigreg_spec, slices, step)
+        s_v, g_v = sigreg_statistic(z_views[v], sigreg_spec, slices)
         stats.append(s_v)
         g_sig[v] = g_v / V
     l_reg = float(np.mean(stats))
@@ -571,43 +561,62 @@ def lejepa_train_step(
         "sigreg": l_reg,
         "total": total,
     }
-    if not np.isfinite(total):
-        raise TrainingAbort(f"non-finite loss: {breakdown}")
 
     dz = (g_pred + lambda_reg * g_sig).reshape(V * B, D)
     d_w, d_b = encoder_backward(enc, tape, dz)
-    grads = {}
-    for i in range(len(enc.weights)):
-        grads[f"enc.w{i}"] = d_w[i]
-        grads[f"enc.b{i}"] = d_b[i]
-    breakdown["grad_norm"] = _clip_gradients(grads, grad_clip)
-    _grouped_adamw(opt, params, grads, {name: lr for name in params})
+    return breakdown, named_params("enc", d_w, d_b)
+
+
+def _apply_update(
+    breakdown: dict, grads: dict, opt: OptimizerState, params: dict, lrs: dict, grad_clip: float
+) -> dict:
+    """The update shared by both step types: abort on a non-finite total,
+    clip the global gradient norm, record it, and take one AdamW step."""
+    if not np.isfinite(breakdown["total"]):
+        raise TrainingAbort(f"non-finite loss: {breakdown}")
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if grad_clip > 0 and norm > grad_clip:
+        scale = grad_clip / norm
+        for g in grads.values():
+            g *= scale
+    breakdown["grad_norm"] = norm
+    adamw_step(opt, params, grads, lrs)
     return breakdown
 
 
-def _grouped_adamw(opt: OptimizerState, params: dict, grads: dict, lrs: dict):
-    """One shared-step AdamW update with a per-parameter learning rate."""
-    opt.step += 1
-    t = opt.step
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingAbort(f"non-finite gradient for parameter {name!r}")
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(p)
-            opt.v[name] = np.zeros_like(p)
-        lr = lrs[name]
-        if opt.weight_decay:
-            p *= 1.0 - lr * opt.weight_decay
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+def hamjepa_train_step(
+    enc: Encoder,
+    net: PotentialNet,
+    view_a: np.ndarray,
+    view_b: np.ndarray,
+    settings: HamjepaStepSettings,
+    caches: dict,
+    opt: OptimizerState,
+    params: dict,
+    lrs: dict,
+    grad_clip: float,
+    step: int,
+) -> dict:
+    """One phase-space predictive step: loss and gradients, then the update."""
+    breakdown, grads = hamjepa_loss_and_grads(enc, net, view_a, view_b, settings, caches, step)
+    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip)
+
+
+def lejepa_train_step(
+    enc: Encoder,
+    views: list,
+    sigreg_spec: SIGRegSpec,
+    slice_cache: RefreshCache,
+    lambda_reg: float,
+    opt: OptimizerState,
+    params: dict,
+    lrs: dict,
+    grad_clip: float,
+    step: int,
+) -> dict:
+    """One baseline step: loss and gradients, then the update."""
+    breakdown, grads = lejepa_loss_and_grads(enc, views, sigreg_spec, slice_cache, lambda_reg, step)
+    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip)
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -615,15 +624,7 @@ def _grouped_adamw(opt: OptimizerState, params: dict, grads: dict, lrs: dict):
 
 def save_checkpoint(ckpt_dir: str, enc: Encoder, net: PotentialNet | None, opt: OptimizerState, meta: dict):
     os.makedirs(ckpt_dir, exist_ok=True)
-    hamflow.write_flat_params(
-        os.path.join(ckpt_dir, "encoder"),
-        [a for pair in zip(enc.weights, enc.biases) for a in pair],
-        {
-            "format": "hamjepa-flat-v1",
-            "kind": "encoder",
-            "layer_shapes": [list(w.shape) for w in enc.weights],
-        },
-    )
+    hamflow.write_layers(os.path.join(ckpt_dir, "encoder"), "encoder", enc.weights, enc.biases)
     if net is not None:
         hamflow.save_potential(net, os.path.join(ckpt_dir, "potential"))
     names = sorted(opt.m)
@@ -631,7 +632,7 @@ def save_checkpoint(ckpt_dir: str, enc: Encoder, net: PotentialNet | None, opt: 
         os.path.join(ckpt_dir, "optimizer"),
         [opt.m[n] for n in names] + [opt.v[n] for n in names],
         {
-            "format": "hamjepa-flat-v1",
+            "format": hamflow.FLAT_FORMAT,
             "kind": "optimizer",
             "names": names,
             "shapes": [list(opt.m[n].shape) for n in names],
@@ -649,20 +650,8 @@ def save_checkpoint(ckpt_dir: str, enc: Encoder, net: PotentialNet | None, opt: 
 
 
 def load_encoder(ckpt_dir: str) -> Encoder:
-    flat, meta = hamflow.read_flat_params(os.path.join(ckpt_dir, "encoder"))
-    weights, biases = [], []
-    pos = 0
-    for out_d, in_d in meta["layer_shapes"]:
-        weights.append(flat[pos : pos + out_d * in_d].reshape(out_d, in_d).copy())
-        pos += out_d * in_d
-        biases.append(flat[pos : pos + out_d].copy())
-        pos += out_d
+    weights, biases, _ = hamflow.read_layers(os.path.join(ckpt_dir, "encoder"), "encoder")
     return Encoder(weights, biases)
-
-
-def load_manifest(ckpt_dir: str) -> dict:
-    with open(os.path.join(ckpt_dir, "manifest.json")) as fh:
-        return json.load(fh)
 
 
 # --- the training loop ------------------------------------------------------------
@@ -672,30 +661,20 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
     hj, loss, reg = cfg["hjepa"], cfg["loss"], cfg["regularizer"]
     d0 = cfg["model"]["embed_dim"] // 2
     n_views_batch = cfg["data"]["batch_size"] * cfg["data"]["num_global_views"]
-    k_q = min(reg["q_logdet_proj_dim"], d0, n_views_batch - 1)
-    k_p = min(reg["p_logdet_proj_dim"], d0, n_views_batch - 1)
-    reg_q = RegularizerSpec(
-        alpha_q=reg["q_per_dim_target"],
-        alpha_p=reg["p_per_dim_target"],
-        sigma_min=reg["q_std_floor"],
-        proj_dim=k_q,
-        tau=reg["q_logdet_floor"],
-        eps=reg["q_logdet_eps"],
-        r0_norm=reg["q_pr_norm_floor"],
-        eigmax_frac_ceiling=reg["q_eigmax_frac_ceiling"],
-        refresh_interval=reg["q_logdet_refresh_interval"],
-    )
-    reg_p = RegularizerSpec(
-        alpha_q=reg["q_per_dim_target"],
-        alpha_p=reg["p_per_dim_target"],
-        sigma_min=reg["q_std_floor"],
-        proj_dim=k_p,
-        tau=reg["p_logdet_floor"],
-        eps=reg["p_logdet_eps"],
-        r0_norm=reg["p_pr_norm_floor"],
-        eigmax_frac_ceiling=reg["p_eigmax_frac_ceiling"],
-        refresh_interval=reg["p_logdet_refresh_interval"],
-    )
+
+    def floor_spec(half: str) -> RegularizerSpec:
+        return RegularizerSpec(
+            alpha_q=reg["q_per_dim_target"],
+            alpha_p=reg["p_per_dim_target"],
+            sigma_min=reg["q_std_floor"],
+            proj_dim=min(reg[f"{half}_logdet_proj_dim"], d0, n_views_batch - 1),
+            tau=reg[f"{half}_logdet_floor"],
+            eps=reg[f"{half}_logdet_eps"],
+            r0_norm=reg[f"{half}_pr_norm_floor"],
+            eigmax_frac_ceiling=reg[f"{half}_eigmax_frac_ceiling"],
+            refresh_interval=reg[f"{half}_logdet_refresh_interval"],
+        )
+
     return HamjepaStepSettings(
         rollout=RolloutSpec(hj["method"], hj["dt"], hj["steps"], 1),
         match=MatchSpec(
@@ -705,8 +684,8 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
             energy_weight=loss["energy_weight"],
             bidirectional=loss["bidirectional"],
         ),
-        reg_q=reg_q,
-        reg_p=reg_p,
+        reg_q=floor_spec("q"),
+        reg_p=floor_spec("p"),
         var_floor_on_p=reg["var_floor_on_p"],
         lambdas={
             "budget": cfg["train"]["lambda_budget"],
@@ -759,20 +738,20 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
         warmup_epochs=min(train_cfg["warmup_epochs"], epochs_total),
         total_epochs=epochs_total,
         min_lr_ratio=train_cfg["min_lr_ratio"],
-        residual_scale_target=cfg["hjepa"]["residual_scale"] if mode == "hjepa" else 0.0,
-        residual_warmup_epochs=(
-            cfg["hjepa"]["residual_scale_warmup_epochs"] if mode == "hjepa" else 1.0
-        ),
-        grad_clip=train_cfg["grad_clip"],
     )
+    opt = OptimizerState(base_lr=train_cfg["lr"], weight_decay=train_cfg["weight_decay"])
+    params = named_params("enc", enc.weights, enc.biases)
 
+    # The only mode branch: each mode binds its state into
+    # run_step(epoch, batch indices, encoder lr, epoch fraction, step).
     net = None
-    settings = None
-    caches = {}
-    sigreg_spec = None
-    slice_cache = None
     if mode == "hjepa":
         hj = cfg["hjepa"]
+        schedule = replace(
+            schedule,
+            residual_scale_target=hj["residual_scale"],
+            residual_warmup_epochs=hj["residual_scale_warmup_epochs"],
+        )
         net = init_potential(
             d0,
             np.random.default_rng(pot_seed),
@@ -781,31 +760,45 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
             alpha=hj["base_coeff"],
             scale=0.0,  # ramped by the residual schedule
         )
+        params.update(named_params("pot", net.weights, net.biases))
         settings = _build_settings(cfg)
         caches = {
-            "q_proj": ProjectionCache(
-                d0, settings.reg_q.proj_dim, settings.reg_q.refresh_interval,
-                np.random.default_rng(qproj_seed),
+            "q_proj": RefreshCache(
+                orthonormal_projection, d0, settings.reg_q.proj_dim,
+                settings.reg_q.refresh_interval, np.random.default_rng(qproj_seed),
             ),
-            "p_proj": ProjectionCache(
-                d0, settings.reg_p.proj_dim, settings.reg_p.refresh_interval,
-                np.random.default_rng(pproj_seed),
+            "p_proj": RefreshCache(
+                orthonormal_projection, d0, settings.reg_p.proj_dim,
+                settings.reg_p.refresh_interval, np.random.default_rng(pproj_seed),
             ),
         }
+
+        def run_step(epoch, idx, lr, frac, step):
+            net.scale = residual_scale_at(schedule, epoch)
+            h_lr = lr_at(schedule, train_cfg["h_lr"], frac)
+            lrs = {name: (h_lr if name.startswith("pot.") else lr) for name in params}
+            report = hamjepa_train_step(
+                enc, net, views_a[idx], views_b[idx], settings, caches,
+                opt, params, lrs, train_cfg["grad_clip"], step,
+            )
+            report["residual_scale"] = net.scale
+            return report
+
     else:
         reg = cfg["regularizer"]
         knots, weights = default_sigreg_knots(reg["n_knots"], reg["knot_max"])
-        sigreg_spec = SIGRegSpec(
-            n_slices=reg["n_slices"], knots=knots, weights=weights,
-            refresh_interval=reg["refresh_interval"],
-        )
-        slice_cache = SliceCache(
-            model["embed_dim"], reg["n_slices"], reg["refresh_interval"],
+        sigreg_spec = SIGRegSpec(knots=knots, weights=weights)
+        slice_cache = RefreshCache(
+            unit_slices, model["embed_dim"], reg["n_slices"], reg["refresh_interval"],
             np.random.default_rng(slice_seed),
         )
 
-    params = _flatten_params(enc, net)
-    opt = OptimizerState(base_lr=train_cfg["lr"], weight_decay=train_cfg["weight_decay"])
+        def run_step(epoch, idx, lr, frac, step):
+            return lejepa_train_step(
+                enc, [views_a[idx], views_b[idx]], sigreg_spec, slice_cache,
+                train_cfg["lambda_reg"], opt, params, dict.fromkeys(params, lr),
+                train_cfg["grad_clip"], step,
+            )
 
     meta = {
         "mode": mode,
@@ -828,29 +821,15 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as metrics:
         for epoch in range(epochs):
-            if mode == "hjepa":
-                net.scale = residual_scale_at(schedule, epoch)
             order = shuffle_rng.permutation(n)
             epoch_totals = []
             for b in range(steps_per_epoch):
                 idx = order[b * batch : (b + 1) * batch]
                 if len(idx) == 0:
                     continue
-                epoch_frac = epoch + (b + 1) / steps_per_epoch
-                lr = lr_at(schedule, train_cfg["lr"], min(epoch_frac, schedule.total_epochs))
-                if mode == "hjepa":
-                    h_lr = lr_at(schedule, train_cfg["h_lr"], min(epoch_frac, schedule.total_epochs))
-                    report = hamjepa_train_step(
-                        enc, net, views_a[idx], views_b[idx], settings, caches,
-                        opt, params, lr, h_lr, train_cfg["grad_clip"], global_step,
-                    )
-                    report["residual_scale"] = net.scale
-                else:
-                    report = lejepa_train_step(
-                        enc, [views_a[idx], views_b[idx]], sigreg_spec, slice_cache,
-                        train_cfg["lambda_reg"], opt, params, lr,
-                        train_cfg["grad_clip"], global_step,
-                    )
+                frac = min(epoch + (b + 1) / steps_per_epoch, schedule.total_epochs)
+                lr = lr_at(schedule, train_cfg["lr"], frac)
+                report = run_step(epoch, idx, lr, frac, global_step)
                 report["lr"] = lr
                 report["epoch"] = epoch
                 epoch_totals.append(report["total"])

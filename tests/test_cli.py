@@ -121,6 +121,23 @@ def test_diagnose_dim_mismatch_exit_3(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_diagnose_foreign_encoder_sidecar_exit_3(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json", TINY)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(run_dir)]) == 0
+    sidecar = run_dir / "checkpoint_final" / "encoder.json"
+    meta = json.loads(sidecar.read_text())
+    meta["kind"] = "potential"
+    sidecar.write_text(json.dumps(meta))
+    code = main(
+        ["diagnose", "--checkpoint", str(run_dir / "checkpoint_final"),
+         "--config", cfg_path, "--out", str(tmp_path / "d")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "encoder" in err and "Traceback" not in err
+
+
 def test_slicedemo_contract(tmp_path, capsys):
     code = main(
         ["slicedemo", "--dt", "0.3", "--horizon", "3", "--samples", "500",

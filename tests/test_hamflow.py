@@ -14,11 +14,9 @@ from hamjepa.hamflow import (
     init_potential,
     leapfrog_step,
     load_potential,
-    param_gradients,
     potential_eval,
     rollout,
     save_potential,
-    symplectic_euler_step,
 )
 
 
@@ -124,6 +122,10 @@ def test_leapfrog_step_inverts_with_negated_dt():
     assert np.abs(back.p - st.p).max() <= 1e-12
 
 
+def symplectic_euler_step(net, state, dt):
+    return rollout(net, state, RolloutSpec("symplectic_euler", dt, 1, 1))
+
+
 def test_symplectic_euler_hand_arithmetic():
     net = quadratic_net(1)
     out = symplectic_euler_step(net, PhaseState(np.array([1.0]), np.array([0.0])), 0.1)
@@ -148,12 +150,21 @@ def test_symplectic_euler_unit_jacobian():
 
 
 def test_rollout_single_step_reduces_to_step():
+    # bit-for-bit against an explicit half-kick / drift / half-kick, for
+    # both step signs and for single and batched states
     net = init_potential(2, np.random.default_rng(10), hidden_dim=8, depth=2, alpha=0.9, scale=0.4)
-    st = PhaseState(np.array([0.2, 0.5]), np.array([-0.3, 0.8]))
-    one = leapfrog_step(net, st, 0.07)
-    out = rollout(net, st, RolloutSpec("leapfrog", 0.07, 1, 1))
-    assert np.array_equal(out.q, one.q)
-    assert np.array_equal(out.p, one.p)
+    q1, p1 = np.array([0.2, 0.5]), np.array([-0.3, 0.8])
+    for q, p in ((q1, p1), (np.stack([q1, -p1]), np.stack([p1, q1]))):
+        for dt in (0.07, -0.07):
+            p_half = p - 0.5 * dt * potential_eval(net, q)[1]
+            q_new = q + dt * p_half
+            p_new = p_half - 0.5 * dt * potential_eval(net, q_new)[1]
+            one = leapfrog_step(net, PhaseState(q, p), dt)
+            spec = RolloutSpec("leapfrog", abs(dt), 1, 1 if dt > 0 else -1)
+            out = rollout(net, PhaseState(q, p), spec)
+            for state in (one, out):
+                assert np.array_equal(state.q, q_new)
+                assert np.array_equal(state.p, p_new)
 
 
 def test_rollout_reversibility():
@@ -267,7 +278,7 @@ def test_zero_scale_zeroes_residual_gradients_of_state_loss():
     net = init_potential(2, np.random.default_rng(15), hidden_dim=8, depth=2, alpha=1.0, scale=0.0)
     st = PhaseState(np.array([0.5, -0.5]), np.array([0.2, 0.1]))
     out, tape = rollout(net, st, RolloutSpec("leapfrog", 0.1, 2, 1), record=True)
-    grads = param_gradients(tape, PhaseState(np.ones(2), np.zeros(2)))
+    grads = tape.backward(np.ones(2), np.zeros(2))[2]
     for dw in grads.d_weights:
         assert np.allclose(dw, 0.0)
     for db in grads.d_biases:
@@ -282,7 +293,7 @@ def test_alpha_gradient_hand_derivative_one_step():
     net = quadratic_net(1, alpha=alpha)
     st = PhaseState(np.array([q0]), np.array([p0]))
     _, tape = rollout(net, st, RolloutSpec("leapfrog", dt, 1, 1), record=True)
-    grads = param_gradients(tape, PhaseState(np.array([1.0]), np.array([0.0])))
+    grads = tape.backward(np.array([1.0]), np.array([0.0]))[2]
     assert abs(grads.d_alpha - (-0.5 * dt * dt * q0)) <= 1e-14
 
 

@@ -5,17 +5,17 @@ from hamjepa.hamflow import PhaseState, RolloutSpec, init_potential, rollout
 from hamjepa.numlin import orthonormalize_columns
 from hamjepa.objectives import (
     MatchSpec,
-    ProjectionCache,
+    RefreshCache,
     RegularizerSpec,
     SIGRegSpec,
-    SliceCache,
     energy_budget,
     lejepa_prediction_loss,
     mean_penalty,
+    orthonormal_projection,
     prediction_loss,
     projected_logdet_floor,
     sigreg_statistic,
-    total_objective,
+    unit_slices,
     variance_floor,
 )
 
@@ -336,8 +336,8 @@ def test_mean_penalty_matches_naive():
 
 
 def test_sigreg_point_mass_closed_form():
-    spec = SIGRegSpec(n_slices=16)
-    slices = SliceCache(4, 16, 16, RNG(18)).get(0)
+    spec = SIGRegSpec()
+    slices = RefreshCache(unit_slices, 4, 16, 16, RNG(18)).get(0)
     n = 50
     stat, _ = sigreg_statistic(np.zeros((n, 4)), spec, slices)
     target = np.exp(-0.5 * spec.knots**2)
@@ -346,8 +346,8 @@ def test_sigreg_point_mass_closed_form():
 
 
 def test_sigreg_null_is_small_and_shift_is_loud():
-    spec = SIGRegSpec(n_slices=64)
-    slices = SliceCache(8, 64, 16, RNG(9)).get(0)
+    spec = SIGRegSpec()
+    slices = RefreshCache(unit_slices, 8, 64, 16, RNG(9)).get(0)
     z = RNG(123).standard_normal((100_000, 8))
     null, _ = sigreg_statistic(z, spec, slices)
     assert null <= 5.0
@@ -358,8 +358,8 @@ def test_sigreg_null_is_small_and_shift_is_loud():
 
 
 def test_sigreg_permutation_invariant():
-    spec = SIGRegSpec(n_slices=8)
-    slices = SliceCache(5, 8, 16, RNG(19)).get(0)
+    spec = SIGRegSpec()
+    slices = RefreshCache(unit_slices, 5, 8, 16, RNG(19)).get(0)
     z = RNG(20).standard_normal((200, 5))
     s1, _ = sigreg_statistic(z, spec, slices)
     s2, _ = sigreg_statistic(z[::-1].copy(), spec, slices)
@@ -374,45 +374,30 @@ def test_sigreg_spec_validation():
 # --- caches ----------------------------------------------------------------------
 
 
-def test_projection_cache_refresh_schedule():
-    cache = ProjectionCache(8, 4, refresh_interval=16, rng=RNG(21))
+@pytest.mark.parametrize("draw", [orthonormal_projection, unit_slices], ids=["projection", "slices"])
+def test_projection_cache_refresh_schedule(draw):
+    cache = RefreshCache(draw, 8, 4, refresh_interval=16, rng=RNG(21))
     r0 = cache.get(0)
     assert np.array_equal(cache.get(7), r0)  # unchanged within the interval
     assert np.array_equal(cache.get(15), r0)
     r1 = cache.get(16)
     assert not np.array_equal(r1, r0)
-    assert np.abs(r1.T @ r1 - np.eye(4)).max() <= 1e-10
+    assert np.array_equal(cache.get(16), r1)  # one draw per refresh step
+    # the same generator drawn directly gives the same sequence
+    rng = RNG(21)
+    assert np.array_equal(draw(rng, 8, 4), r0)
+    assert np.array_equal(draw(rng, 8, 4), r1)
+
+
+def test_projection_draw_is_orthonormal():
+    r = orthonormal_projection(RNG(21), 8, 4)
+    assert np.abs(r.T @ r - np.eye(4)).max() <= 1e-10
 
 
 def test_slice_cache_unit_columns():
-    cache = SliceCache(6, 10, refresh_interval=4, rng=RNG(22))
+    cache = RefreshCache(unit_slices, 6, 10, refresh_interval=4, rng=RNG(22))
     a = cache.get(0)
     assert np.abs(np.sqrt(np.sum(a * a, axis=0)) - 1.0).max() <= 1e-12
-
-
-# --- total objective ---------------------------------------------------------------
-
-
-def test_total_objective_prediction_only():
-    total, breakdown = total_objective(0.7, {"L_budget": 3.0}, {"L_budget": 0.0})
-    assert total == 0.7
-    assert breakdown["L_pred"] == 0.7
-
-
-def test_total_objective_perfect_budget_is_free():
-    total, _ = total_objective(0.7, {"L_budget": 0.0}, {"L_budget": 1.0})
-    assert total == 0.7
-
-
-def test_total_objective_matches_dot_product():
-    rng = RNG(23)
-    names = ["a", "b", "c", "d"]
-    terms = {n: float(rng.uniform(0, 2)) for n in names}
-    weights = {n: float(rng.uniform(0, 2)) for n in names}
-    l_pred = float(rng.uniform(0, 2))
-    total, _ = total_objective(l_pred, terms, weights)
-    naive = l_pred + sum(weights[n] * terms[n] for n in names)
-    assert abs(total - naive) <= 1e-14
 
 
 def test_regularizers_finite_at_minimum_batch():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hamjepa.numlin import SPDOperator
+from hamjepa.hamflow import init_potential
+from hamjepa.objectives import RefreshCache, orthonormal_projection
 from hamjepa.trainer import (
     ConfigError,
     Encoder,
@@ -12,14 +14,18 @@ from hamjepa.trainer import (
     ScheduleSpec,
     SyntheticSpec,
     TrainingAbort,
+    _apply_update,
+    _build_settings,
     adamw_step,
     encoder_backward,
     encoder_forward,
     exact_quadratic_flow,
     generate_views,
+    hamjepa_train_step,
     init_encoder,
     load_encoder,
     lr_at,
+    named_params,
     residual_scale_at,
     save_checkpoint,
     train,
@@ -133,28 +139,60 @@ def test_adamw_first_step_hand_arithmetic():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([1.0])}
     state = OptimizerState(weight_decay=0.0)
-    adamw_step(state, params, grads, lr=0.1)
+    adamw_step(state, params, grads, {"w": 0.1})
     assert abs(params["w"][0] - 0.9) <= 1e-7
 
 
 def test_adamw_zero_gradient_no_decay_is_identity():
     params = {"w": np.array([0.7, -0.3])}
     state = OptimizerState(weight_decay=0.0)
-    adamw_step(state, params, {"w": np.zeros(2)}, lr=0.1)
+    adamw_step(state, params, {"w": np.zeros(2)}, {"w": 0.1})
     assert np.array_equal(params["w"], [0.7, -0.3])
 
 
 def test_adamw_decoupled_decay():
     params = {"w": np.array([1.0])}
     state = OptimizerState(weight_decay=0.1)
-    adamw_step(state, params, {"w": np.zeros(1)}, lr=0.1)
+    adamw_step(state, params, {"w": np.zeros(1)}, {"w": 0.1})
     assert abs(params["w"][0] - 0.99) <= 1e-15
 
 
 def test_adamw_rejects_nonfinite_gradient():
     state = OptimizerState()
     with pytest.raises(TrainingAbort, match="w"):
-        adamw_step(state, {"w": np.array([1.0])}, {"w": np.array([np.nan])}, lr=0.1)
+        adamw_step(state, {"w": np.array([1.0])}, {"w": np.array([np.nan])}, {"w": 0.1})
+
+
+def test_step_learning_rates_are_grouped():
+    settings = _build_settings(validate_config({"seed": 0, "hjepa": {}, "data": {"batch_size": 8}}))
+    rng = np.random.default_rng(6)
+    enc = init_encoder(12, [8], 16, rng)
+    net = init_potential(8, rng, hidden_dim=8, depth=2, alpha=1.0, scale=0.5)
+    caches = {
+        "q_proj": RefreshCache(orthonormal_projection, 8, settings.reg_q.proj_dim, 16, np.random.default_rng(0)),
+        "p_proj": RefreshCache(orthonormal_projection, 8, settings.reg_p.proj_dim, 16, np.random.default_rng(1)),
+    }
+    va, vb = rng.standard_normal((8, 12)), rng.standard_normal((8, 12))
+    params = named_params("enc", enc.weights, enc.biases)
+    params.update(named_params("pot", net.weights, net.biases))
+    before = {name: p.copy() for name, p in params.items()}
+    lrs = {name: (1e-2 if name.startswith("pot.") else 0.0) for name in params}
+    opt = OptimizerState(weight_decay=0.01)
+    hamjepa_train_step(enc, net, va, vb, settings, caches, opt, params, lrs, 1.0, 0)
+    changed = {name for name, p in params.items() if not np.array_equal(p, before[name])}
+    # the output bias of V never gets a gradient: the rollout only sees grad V
+    assert changed == {name for name in params if name.startswith("pot.")} - {"pot.b2"}
+
+
+def test_update_aborts_on_nonfinite_total_before_touching_params():
+    params = {"w": np.array([1.0, 2.0])}
+    opt = OptimizerState()
+    breakdown = {"total": float("nan")}
+    with pytest.raises(TrainingAbort, match="non-finite loss"):
+        _apply_update(breakdown, {"w": np.array([0.5, 0.5])}, opt, params, {"w": 0.1}, 1.0)
+    assert np.array_equal(params["w"], [1.0, 2.0])
+    assert opt.step == 0
+    assert opt.m == {} and opt.v == {}
 
 
 # --- schedules --------------------------------------------------------------------
@@ -293,3 +331,15 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, enc.biases):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key,value", [("kind", "potential"), ("format", "other-v9")])
+def test_load_encoder_rejects_foreign_sidecar(tmp_path, key, value):
+    enc = init_encoder(8, [6], 4, np.random.default_rng(5))
+    save_checkpoint(str(tmp_path), enc, None, OptimizerState(), {"mode": "baseline"})
+    sidecar = tmp_path / "encoder.json"
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="encoder"):
+        load_encoder(str(tmp_path))
