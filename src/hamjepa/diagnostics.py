@@ -14,6 +14,10 @@ import numpy as np
 
 from .numlin import SymMatrix, cholesky_factor, sym_eig
 
+# Test rows per similarity block in knn_accuracy: bounds the (block, n_train)
+# buffer while keeping each matrix product large.
+KNN_ROW_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -92,13 +96,23 @@ def knn_accuracy(
     k: int = 20,
 ) -> float:
     """Cosine k-nearest-neighbor majority vote; ties break to the lowest
-    class id."""
+    class id.
+
+    The neighbors of a test row are the k train rows a stable descending
+    sort of its similarities puts first: every row above the k-th largest
+    similarity, then the lowest-index rows equal to it.  A partition of
+    each row finds that value; no row is sorted.  Test rows go in blocks of
+    ``KNN_ROW_BLOCK``, which bounds the similarity buffer.
+    """
     train_x = np.asarray(train_x, dtype=np.float64)
     test_x = np.asarray(test_x, dtype=np.float64)
-    if train_x.shape[0] == 0 or test_x.shape[0] == 0:
+    n_train = train_x.shape[0]
+    if n_train == 0 or test_x.shape[0] == 0:
         raise ValueError("empty feature sets")
-    if k > train_x.shape[0]:
-        raise ValueError(f"k={k} exceeds the train size {train_x.shape[0]}")
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    if k > n_train:
+        raise ValueError(f"k={k} exceeds the train size {n_train}")
 
     def normalize(a):
         n = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
@@ -106,14 +120,24 @@ def knn_accuracy(
 
     tr = normalize(train_x)
     te = normalize(test_x)
-    sims = te @ tr.T
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     correct = 0
-    for row in range(te.shape[0]):
-        order = np.argsort(-sims[row], kind="stable")[:k]
-        votes = np.bincount(train_y[order], minlength=n_classes)
-        pred = int(np.argmax(votes))  # argmax takes the lowest id on ties
-        correct += int(pred == test_y[row])
+    for start in range(0, te.shape[0], KNN_ROW_BLOCK):
+        sims = te[start : start + KNN_ROW_BLOCK] @ tr.T
+        rows = sims.shape[0]
+        kth = np.partition(sims, n_train - k, axis=1)[:, n_train - k, None]
+        above = sims > kth
+        tied = sims == kth
+        chosen = above | tied
+        room = k - above.sum(axis=1)
+        over = tied.sum(axis=1) > room  # more ties at the k-th value than places left
+        if over.any():
+            ties = tied[over]
+            chosen[over] = above[over] | (ties & (np.cumsum(ties, axis=1) <= room[over, None]))
+        row, col = np.nonzero(chosen)
+        votes = np.bincount(row * n_classes + train_y[col], minlength=rows * n_classes)
+        pred = np.argmax(votes.reshape(rows, n_classes), axis=1)  # lowest id on ties
+        correct += int(np.sum(pred == test_y[start : start + rows]))
     return correct / te.shape[0]
 
 

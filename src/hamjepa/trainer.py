@@ -402,8 +402,10 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("hjepa.method must be 'leapfrog' or 'symplectic_euler'")
     if cfg["data"]["num_global_views"] != 2:
         raise ConfigError("data.num_global_views: exactly 2 global views are supported")
-    if cfg["train"]["epochs"] < 0:
-        raise ConfigError("train.epochs must be nonnegative")
+    for key, minimum in (("epochs", 0), ("log_every", 1)):
+        value = cfg["train"][key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"train.{key} must be an integer >= {minimum}, got {value!r}")
     return cfg
 
 

@@ -94,6 +94,16 @@ def test_train_odd_embed_dim_exit_2(tmp_path, capsys):
     assert "embed_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("log_every", 0), ("epochs", "3")], ids=["log_every-0", "epochs-str"]
+)
+def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path / "cfg.json", {"hjepa": {}, "train": {key: value}})
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"train.{key}" in err and "Traceback" not in err
+
+
 def test_train_missing_config_exit_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -135,8 +135,55 @@ def test_knn_scale_invariant_per_row():
 
 
 def test_knn_validates_k():
-    with pytest.raises(ValueError):
-        knn_accuracy(np.ones((3, 2)), np.zeros(3, dtype=int), np.ones((1, 2)), np.zeros(1, dtype=int), k=5)
+    for k in (5, 0, -1):
+        with pytest.raises(ValueError):
+            knn_accuracy(np.ones((3, 2)), np.zeros(3, dtype=int), np.ones((1, 2)), np.zeros(1, dtype=int), k=k)
+
+
+def reference_knn_predictions(train_x, train_y, test_x, k):
+    """Per-row stable argsort of the full similarity matrix, then a vote."""
+    def normalize(a):
+        n = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
+        return np.where(n > 0, a / np.where(n > 0, n, 1.0), 0.0)
+
+    sims = normalize(test_x) @ normalize(train_x).T
+    n_classes = int(train_y.max()) + 1
+    preds = []
+    for row in range(sims.shape[0]):
+        order = np.argsort(-sims[row], kind="stable")[:k]
+        preds.append(int(np.argmax(np.bincount(train_y[order], minlength=n_classes))))
+    return np.array(preds)
+
+
+def dyadic_features(rng, n, dim=16):
+    """Integer rows with 1, 4 or 16 nonzero entries of +-2^j, so every norm is
+    a power of two and every cosine is an exact multiple of 1/16: ties at the
+    k-th similarity are common, and no BLAS summation order can break them.
+    Includes duplicate rows and all-zero rows."""
+    x = np.zeros((n, dim))
+    for row in range(n):
+        nnz = rng.choice([1, 4, 16])
+        cols = rng.choice(dim, size=nnz, replace=False)
+        x[row, cols] = rng.choice([-1.0, 1.0], size=nnz) * 2.0 ** rng.integers(0, 3)
+    x[rng.choice(n, size=n // 10, replace=False)] = 0.0
+    dup = rng.choice(n, size=n // 5, replace=False)
+    x[dup] = x[rng.choice(n, size=dup.size)]
+    return x
+
+
+@pytest.mark.parametrize("n_test", [1, 129, 300])
+@pytest.mark.parametrize("k", [1, 7, None], ids=["k1", "k7", "kall"])
+def test_knn_matches_stable_argsort_reference_on_ties(n_test, k):
+    rng = np.random.default_rng(31)
+    train_x, test_x = dyadic_features(rng, 200), dyadic_features(rng, n_test)
+    train_y = rng.integers(0, 3, size=200)
+    k = k or len(train_y)
+    expected = reference_knn_predictions(train_x, train_y, test_x, k)
+    # Labels equal to the reference votes: any row whose neighbor set or
+    # vote differs lowers the accuracy, with no chance of cancelling out.
+    assert knn_accuracy(train_x, train_y, test_x, expected, k) == 1.0
+    test_y = rng.integers(0, 3, size=n_test)
+    assert knn_accuracy(train_x, train_y, test_x, test_y, k) == np.mean(expected == test_y)
 
 
 # --- linear probe --------------------------------------------------------------

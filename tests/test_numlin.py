@@ -6,6 +6,7 @@ from hamjepa.numlin import (
     NotPositiveDefiniteError,
     SPDOperator,
     SymMatrix,
+    _round_robin,
     cholesky_factor,
     cholesky_slogdet,
     orthonormalize_columns,
@@ -75,7 +76,7 @@ def test_sym_eig_matches_charpoly_oracle_seed7():
 
 def test_sym_eig_reconstruction_and_orthogonality():
     rng = np.random.default_rng(0)
-    for d in [1, 2, 3, 5, 8, 16, 33]:
+    for d in [1, 2, 3, 4, 5, 7, 8, 16, 33, 64]:
         a = rng.standard_normal((d, d))
         a = 0.5 * (a + a.T)
         e = sym_eig(SymMatrix(a))
@@ -84,6 +85,43 @@ def test_sym_eig_reconstruction_and_orthogonality():
         assert np.abs(recon - a).max() <= 1e-10 * scale
         assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d)).max() <= 1e-10
         assert np.all(np.diff(e.eigenvalues) <= 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9])
+def test_round_robin_covers_each_pair_once_per_sweep(n):
+    seen = []
+    for idx in _round_robin(n):
+        h = len(idx) // 4
+        p, q = idx[2 * h : 3 * h] // n, idx[2 * h : 3 * h] % n
+        assert np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * h  # disjoint within a round
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_sym_eig_zero_matrix():
+    e = sym_eig(SymMatrix(np.zeros((5, 5))))
+    assert np.array_equal(e.eigenvalues, np.zeros(5))
+    assert np.array_equal(e.eigenvectors, np.eye(5))
+
+
+def test_sym_eig_repeated_eigenvalues():
+    a = np.kron(np.eye(4), [[2.0, 1.0], [1.0, 2.0]])
+    e = sym_eig(SymMatrix(a))
+    assert np.abs(e.eigenvalues - np.repeat([3.0, 1.0], 4)).max() <= 1e-14
+    recon = e.eigenvectors @ (e.eigenvalues[:, None] * e.eigenvectors.T)
+    assert np.abs(recon - a).max() <= 1e-14
+    assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(8)).max() <= 1e-14
+
+
+def test_sym_eig_diagonal_input_is_exact():
+    # No sweep runs, so the diagonal comes back bit for bit, sorted, with
+    # permutation eigenvectors.
+    d = np.array([0.3, -2.0, 7.5, 0.3, 1e-9, -0.0, 4.0])
+    e = sym_eig(SymMatrix(np.diag(d)))
+    order = np.argsort(-d, kind="stable")
+    assert np.array_equal(e.eigenvalues, d[order])
+    assert np.array_equal(e.eigenvectors, np.eye(7)[:, order])
 
 
 def test_sym_eig_deterministic():
