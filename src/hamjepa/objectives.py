@@ -27,6 +27,10 @@ from .numlin import SymMatrix, cholesky_slogdet, orthonormalize_columns, sym_eig
 
 VAR_FLOOR_EPS = 1e-8  # inside the square root of the per-dimension std
 
+# Samples per block in sigreg_statistic: bounds its (knots, block, slices)
+# complex buffer (18 MB at 17 knots and 64 slices) for any sample count.
+SIGREG_ROW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class MatchSpec:
@@ -75,16 +79,24 @@ def default_sigreg_knots(n_knots: int = 17, t_max: float = 4.0):
 
 @dataclass(frozen=True)
 class SIGRegSpec:
+    """Knots and weights of the sliced-CF statistic.  The knots must be the
+    even grid t_j = j t_1, j = 1..T, with t_1 > 0 (as ``default_sigreg_knots``
+    makes them), because ``sigreg_statistic`` takes exp(i t_j y) as the j-th
+    power of exp(i t_1 y).  Weights are normalized to sum to one."""
+
     knots: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[0])
     weights: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[1])
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(np.diff(knots) <= 0) or np.any(knots <= 0):
-            raise ValueError("knots must be positive and strictly increasing")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+        if knots.ndim != 1 or knots.size == 0 or not 0 < knots[0] < np.inf:
+            raise ValueError("knots must be a nonempty 1-d grid with a finite first knot > 0")
+        grid = knots[0] * np.arange(1, knots.size + 1)
+        if not np.allclose(knots, grid, rtol=1e-12, atol=0.0):
+            raise ValueError("knots must be evenly spaced from the origin: t_j = j * t_1")
+        if weights.shape != knots.shape or not np.all((weights > 0) & np.isfinite(weights)):
+            raise ValueError("weights must be finite and positive, one per knot")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "weights", weights / weights.sum())
 
@@ -384,30 +396,64 @@ def sigreg_statistic(
 ) -> tuple[float, np.ndarray]:
     """Sliced characteristic-function statistic against the standard normal.
 
-    Projects the batch onto unit slice directions, compares the empirical
-    cosine/sine characteristic function at the knot grid against
-    exp(-t^2/2), and mean-reduces the per-slice weighted squared deviations
-    scaled by the sample count.
+    Projects the batch onto unit slice directions, y = z @ slices, takes the
+    empirical characteristic function c_hat + i s_hat = mean over samples of
+    exp(i t y) at each knot t, and mean-reduces over slices the weighted
+    squared deviation from exp(-t^2/2), scaled by the sample count n:
+    ``mean_k n sum_t w_t ((c_hat - exp(-t^2/2))^2 + s_hat^2)``.
+
+    ``SIGRegSpec`` holds the knots to an even grid t_j = j t_1, so
+    exp(i t_j y) is the j-th power of exp(i t_1 y): one cos and one sin per
+    (sample, slice), then one complex product per further knot.  The
+    gradient in y, (2/K) sum_t w_t t (s_hat cos(t y) - dev_c sin(t y)), is
+    one contraction of those powers with per-(knot, slice) weight pairs.
+
+    Samples go in blocks of ``SIGREG_ROW_BLOCK``.  A first pass sums each
+    block's powers; a second recomputes them (the last block's are still at
+    hand) and writes the block's gradient rows.  So memory is bounded by the
+    block, not by n.  The direct form,
+    cos and sin of every t_j y, is kept as the reference in the tests; the
+    two agree to rounding.
     """
     z = np.asarray(z, dtype=np.float64)
     n, d = z.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
     kslices = slices.shape[1]
-    y = z @ slices  # (n, K)
-    ty = y[:, :, None] * spec.knots[None, None, :]  # (n, K, T)
-    cos_ty = np.cos(ty)
-    sin_ty = np.sin(ty)
-    c_hat = cos_ty.mean(axis=0)  # (K, T)
-    s_hat = sin_ty.mean(axis=0)
-    target = np.exp(-0.5 * spec.knots**2)
-    dev_c = c_hat - target[None, :]
-    per_slice = n * np.sum(spec.weights[None, :] * (dev_c**2 + s_hat**2), axis=1)
+    n_knots = spec.knots.size
+    t1 = spec.knots[0]
+    blocks = [slice(start, start + SIGREG_ROW_BLOCK) for start in range(0, n, SIGREG_ROW_BLOCK)]
+    buffer = np.empty((n_knots, min(n, SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
+
+    def block_powers(rows):
+        # exp(i j t_1 y) for j = 1..T, knot-major, over the block's projections
+        ty = t1 * (z[rows] @ slices)
+        powers = buffer[:, : ty.shape[0]]
+        np.cos(ty, out=powers[0].real)
+        np.sin(ty, out=powers[0].imag)
+        for j in range(1, n_knots):
+            np.multiply(powers[j - 1], powers[0], out=powers[j])
+        return powers
+
+    cf_sum = np.zeros((n_knots, kslices), dtype=np.complex128)
+    for rows in blocks:
+        powers = block_powers(rows)
+        cf_sum += powers.sum(axis=1)
+    c_hat = cf_sum.real / n  # (T, K)
+    s_hat = cf_sum.imag / n
+    dev_c = c_hat - np.exp(-0.5 * spec.knots**2)[:, None]
+    per_slice = n * np.sum(spec.weights[:, None] * (dev_c**2 + s_hat**2), axis=0)
     stat = float(per_slice.mean())
 
-    wt = spec.weights * spec.knots
-    dy = (2.0 / kslices) * (
-        -(dev_c[None] * wt[None, None]) * sin_ty + (s_hat[None] * wt[None, None]) * cos_ty
-    ).sum(axis=2)
-    grad = dy @ slices.T
+    # The float view of the powers alternates (cos, sin) along its last
+    # axis, so each slice gets the weight pair (s_hat, -dev_c).
+    wt = (2.0 / kslices) * (spec.weights * spec.knots)[:, None]
+    pair_weights = np.stack([wt * s_hat, -wt * dev_c], axis=-1).reshape(n_knots, 2 * kslices)
+    grad = np.empty_like(z)
+    # backwards, so the last block's powers from the first pass are reused
+    for rows in reversed(blocks):
+        if rows is not blocks[-1]:
+            powers = block_powers(rows)
+        dy_pairs = np.einsum("tnk,tk->nk", powers.view(np.float64), pair_weights)
+        grad[rows] = (dy_pairs[:, 0::2] + dy_pairs[:, 1::2]) @ slices.T
     return stat, grad

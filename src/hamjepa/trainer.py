@@ -366,7 +366,7 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"unknown key {key}")
 
     cfg = {
-        "seed": int(raw.get("seed", 42)),
+        "seed": _require_int("seed", raw.get("seed", 42), 0),
         "mode": mode,
         "data": _merge_block("data", raw.get("data", {}), _DATA_DEFAULTS),
         "model": _merge_block("model", raw.get("model", {}), _MODEL_DEFAULTS),
@@ -402,11 +402,47 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("hjepa.method must be 'leapfrog' or 'symplectic_euler'")
     if cfg["data"]["num_global_views"] != 2:
         raise ConfigError("data.num_global_views: exactly 2 global views are supported")
-    for key, minimum in (("epochs", 0), ("log_every", 1)):
-        value = cfg["train"][key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"train.{key} must be an integer >= {minimum}, got {value!r}")
+    int_floors = [
+        ("data.n_samples", 1), ("data.batch_size", 1), ("train.epochs", 0), ("train.log_every", 1)
+    ]
+    positive = []
+    if mode == "hjepa":
+        int_floors += [
+            ("hjepa.steps", 1),
+            ("regularizer.q_logdet_refresh_interval", 1),
+            ("regularizer.p_logdet_refresh_interval", 1),
+        ]
+        positive.append("hjepa.dt")
+    else:
+        int_floors += [
+            ("regularizer.n_slices", 1),
+            ("regularizer.n_knots", 1),
+            ("regularizer.refresh_interval", 1),
+        ]
+        positive.append("regularizer.knot_max")
+    for path, minimum in int_floors:
+        block, key = path.split(".")
+        _require_int(path, cfg[block][key], minimum)
+    for path in positive:
+        block, key = path.split(".")
+        value = cfg[block][key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value < math.inf):
+            raise ConfigError(f"{path} must be a finite number > 0, got {value!r}")
+    data = cfg["data"]
+    tail = 0 if data["drop_last"] else data["n_samples"] % data["batch_size"]
+    if mode == "baseline" and (data["batch_size"] < 2 or tail == 1):
+        raise ConfigError(
+            "data.batch_size: every baseline batch, the last one included, needs at least "
+            "2 samples for the sliced-CF statistic"
+        )
     return cfg
+
+
+def _require_int(path: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 # --- training ------------------------------------------------------------------

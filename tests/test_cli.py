@@ -104,6 +104,39 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
     assert f"train.{key}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        pytest.param({"regularizer": {"n_knots": 0}}, "regularizer.n_knots", id="n_knots-0"),
+        pytest.param({"regularizer": {"n_slices": 0}}, "regularizer.n_slices", id="n_slices-0"),
+        pytest.param(
+            {"regularizer": {"refresh_interval": 0}}, "regularizer.refresh_interval",
+            id="refresh_interval-0",
+        ),
+        pytest.param({"regularizer": {"knot_max": -1}}, "regularizer.knot_max", id="knot_max-neg"),
+        pytest.param(
+            {"hjepa": {}, "regularizer": {"p_logdet_refresh_interval": 0}},
+            "regularizer.p_logdet_refresh_interval", id="p_logdet_refresh_interval-0",
+        ),
+        pytest.param({"hjepa": {"steps": 0}}, "hjepa.steps", id="steps-0"),
+        pytest.param({"hjepa": {"dt": -0.1}}, "hjepa.dt", id="dt-neg"),
+        pytest.param({"seed": "x"}, "seed", id="seed-str"),
+        pytest.param({"seed": -1}, "seed", id="seed-neg"),
+        pytest.param({"data": {"batch_size": 0}}, "data.batch_size", id="batch_size-0"),
+        pytest.param({"data": {"batch_size": 1}}, "data.batch_size", id="baseline-batch_size-1"),
+        pytest.param(
+            {"data": {"n_samples": 257, "drop_last": False}}, "data.batch_size",
+            id="baseline-last-batch-1",
+        ),
+    ],
+)
+def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
+    cfg_path = write_config(tmp_path / "cfg.json", payload)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
 def test_train_missing_config_exit_2(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from hamjepa.objectives import (
     MatchSpec,
     RefreshCache,
     RegularizerSpec,
+    SIGREG_ROW_BLOCK,
     SIGRegSpec,
+    default_sigreg_knots,
     energy_budget,
     lejepa_prediction_loss,
     mean_penalty,
@@ -369,6 +373,85 @@ def test_sigreg_permutation_invariant():
 def test_sigreg_spec_validation():
     with pytest.raises(ValueError):
         SIGRegSpec(knots=np.array([1.0, 0.5]), weights=np.array([0.5, 0.5]))
+    # the knot-power recurrence needs the grid t_j = j * t_1
+    with pytest.raises(ValueError, match="evenly spaced"):
+        SIGRegSpec(knots=np.array([0.5, 1.0, 2.0]), weights=np.ones(3))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        SIGRegSpec(knots=np.array([1.0, 1.5, 2.0]), weights=np.ones(3))
+    with pytest.raises(ValueError, match="nonempty"):
+        SIGRegSpec(knots=np.array([]), weights=np.array([]))
+    with pytest.raises(ValueError, match="one per knot"):
+        SIGRegSpec(knots=np.array([1.0, 2.0]), weights=np.ones(3))
+    for n_knots, t_max in ((1, 4.0), (17, 4.0), (5, 2.5)):
+        knots, weights = default_sigreg_knots(n_knots, t_max)
+        SIGRegSpec(knots=knots, weights=weights)
+
+
+def direct_sigreg(z, spec, slices):
+    """The statistic and its gradient from cos and sin of every t_j y."""
+    n = z.shape[0]
+    kslices = slices.shape[1]
+    y = z @ slices  # (n, K)
+    ty = y[:, :, None] * spec.knots[None, None, :]  # (n, K, T)
+    cos_ty = np.cos(ty)
+    sin_ty = np.sin(ty)
+    c_hat = cos_ty.mean(axis=0)  # (K, T)
+    s_hat = sin_ty.mean(axis=0)
+    target = np.exp(-0.5 * spec.knots**2)
+    dev_c = c_hat - target[None, :]
+    per_slice = n * np.sum(spec.weights[None, :] * (dev_c**2 + s_hat**2), axis=1)
+    wt = spec.weights * spec.knots
+    dy = (2.0 / kslices) * (
+        -(dev_c[None] * wt[None, None]) * sin_ty + (s_hat[None] * wt[None, None]) * cos_ty
+    ).sum(axis=2)
+    return float(per_slice.mean()), dy @ slices.T
+
+
+@pytest.mark.parametrize("shift_scale", [(0.0, 1.0), (0.7, 2.5)], ids=["null", "shifted-scaled"])
+@pytest.mark.parametrize("n_slices", [1, 8, 64])
+@pytest.mark.parametrize("n_knots", [1, 17])
+@pytest.mark.parametrize(
+    "n", [2, 256, SIGREG_ROW_BLOCK - 1, SIGREG_ROW_BLOCK, SIGREG_ROW_BLOCK + 1, 2500]
+)
+def test_sigreg_matches_direct_reference(n, n_knots, n_slices, shift_scale):
+    knots, weights = default_sigreg_knots(n_knots, 4.0)
+    spec = SIGRegSpec(knots=knots, weights=weights)
+    slices = unit_slices(RNG(31), 6, n_slices)
+    shift, scale = shift_scale
+    z = shift + scale * RNG(32).standard_normal((n, 6))
+    stat, grad = sigreg_statistic(z, spec, slices)
+    ref_stat, ref_grad = direct_sigreg(z, spec, slices)
+    assert abs(stat - ref_stat) <= 1e-12 * abs(ref_stat)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_sigreg_gradient_matches_central_differences():
+    spec = SIGRegSpec()
+    slices = unit_slices(RNG(33), 3, 5)
+    z = 0.3 + 1.4 * RNG(34).standard_normal((7, 3))
+    _, grad = sigreg_statistic(z, spec, slices)
+    h = 1e-6
+    fd = np.empty_like(z)
+    for idx in np.ndindex(*z.shape):
+        zp, zm = z.copy(), z.copy()
+        zp[idx] += h
+        zm[idx] -= h
+        up, down = sigreg_statistic(zp, spec, slices)[0], sigreg_statistic(zm, spec, slices)[0]
+        fd[idx] = (up - down) / (2 * h)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+
+def test_sigreg_memory_is_bounded_by_the_row_block():
+    spec = SIGRegSpec()
+    slices = unit_slices(RNG(35), 8, 64)
+    z = RNG(36).standard_normal((100_000, 8))
+    tracemalloc.start()
+    try:
+        sigreg_statistic(z, spec, slices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 # --- caches ----------------------------------------------------------------------
