@@ -364,11 +364,8 @@ def check_minimax(seed: int) -> CheckResult:
 
         # independent evaluation of sampled alternatives (LAPACK eigensolver)
         hroot = np.linalg.cholesky(hmat)
-        samples = np.empty((10_000, d, d))
-        for i in range(10_000):
-            samples[i] = sample_feasible_covariance(b, rng).entries
-        mapped = np.einsum("ij,njk,lk->nil", hroot.T, samples, hroot.T)
-        vals = np.linalg.eigvalsh(mapped)[:, -1]
+        samples = sample_feasible_covariance(b, 10_000, rng)
+        vals = np.linalg.eigvalsh(hroot.T @ samples @ hroot)[:, -1]
         worst_margin = min(worst_margin, float(vals.min()) - (c / d - TOLERANCES["minimax_slack"]))
     ok = worst_rel <= TOLERANCES["minimax_rel"] and worst_margin >= 0
     return CheckResult(
@@ -547,8 +544,8 @@ def check_maxent(seed: int) -> CheckResult:
     b = GeometryBudget(h, 3.0)
     gap_at_star = maxent_gaussian_entropy_gap(b, minimax_covariance(b))
     min_gap = np.inf
-    for _ in range(1000):
-        min_gap = min(min_gap, maxent_gaussian_entropy_gap(b, sample_feasible_covariance(b, rng)))
+    for alt in sample_feasible_covariance(b, 1000, rng):
+        min_gap = min(min_gap, maxent_gaussian_entropy_gap(b, SymMatrix(alt)))
     ok = min_gap >= TOLERANCES["maxent_floor"] and abs(gap_at_star) <= 1e-10
     return CheckResult("maxent_gap", ok, {"min_gap": min_gap, "gap_at_oracle": gap_at_star})
 

@@ -12,6 +12,7 @@ exit code).  Exit codes: 0 success, 1 check failure, 2 config error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,13 +28,20 @@ EXIT_ABORT = 3
 
 
 def _env_seed(default: int) -> int:
+    """The seed: HAMJEPA_SEED if set, else ``default`` (the --seed flag or
+    the config's seed); a negative value is a config error."""
     raw = os.environ.get("HAMJEPA_SEED")
     if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"HAMJEPA_SEED must be an integer, got {raw!r}") from exc
+        seed, source = default, "--seed"
+    else:
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"HAMJEPA_SEED must be an integer, got {raw!r}") from exc
+        source = "HAMJEPA_SEED"
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def cmd_verify(args) -> int:
@@ -180,8 +188,11 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_slicedemo(args) -> int:
-    if args.dt <= 0 or args.horizon <= 0 or args.samples < 2:
-        print("config error: dt and horizon must be positive, samples >= 2", file=sys.stderr)
+    if not (0 < args.dt < math.inf and 0 < args.horizon < math.inf) or args.samples < 2:
+        print(
+            "config error: dt and horizon must be finite and positive, samples >= 2",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     seed = _env_seed(args.seed)
     profiles = diagnostics.harmonic_slice_demo(

@@ -292,8 +292,18 @@ def maxent_gaussian_entropy_gap(b: GeometryBudget, sigma_alt: SymMatrix) -> floa
 # ---------------------------------------------------------------------------
 # Sampling oracles.  These deliberately avoid the spectral route above: task
 # variance is probed by evaluating w' Sigma w on candidate directions, and
-# minimax optimality by evaluating sampled budget-feasible covariances.
+# minimax optimality by evaluating sampled budget-feasible covariances.  Both
+# work on whole batches (one (n, d) array of directions, one (n, d, d) stack
+# of covariances), so a check's sample count costs a few numpy calls.
 # ---------------------------------------------------------------------------
+
+
+def _best_direction(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row of ``u`` with the largest Rayleigh quotient u' A u / u'u, returned
+    normalized, and that quotient."""
+    vals = np.einsum("ni,ni->n", u @ a, u) / np.einsum("ni,ni->n", u, u)
+    i = int(np.argmax(vals))
+    return u[i] / np.sqrt(u[i] @ u[i]), float(vals[i])
 
 
 def sampled_worst_case_variance(
@@ -305,31 +315,25 @@ def sampled_worst_case_variance(
 ) -> float:
     """Brute-force estimate of the worst-case task variance.
 
-    Stage 1 draws ``n_samples`` uniform directions on the feasible boundary.
-    Stage 2 polishes the best candidate with derivative-free shrinking
-    Gaussian perturbations on the unit sphere (still only quadratic-form
-    evaluations, no spectral computation).  Plain sampling alone plateaus
-    around 1e-2 relative error in dimension 6, far from the certification
-    tolerances, so the polish stage is required.
+    Stage 1 draws ``n_samples`` Gaussian directions and scores each by its
+    Rayleigh quotient u' A u / u'u with A = H^{1/2} Sigma H^{1/2}, which is
+    the variance of the feasible task vector along u; only the winner is
+    normalized.  Stage 2 polishes it with derivative-free shrinking Gaussian
+    perturbations, 24 probes a round, scored the same way (still only
+    quadratic-form evaluations, no spectral computation).  Plain sampling
+    alone plateaus around 1e-2 relative error in dimension 6, far from the
+    certification tolerances, so the polish stage is required.
     """
     hroot = spd_sqrt(h).entries
     a = hroot @ sigma.entries @ hroot  # w' Sigma w = u' A u on the unit sphere
-    u = rng.standard_normal((n_samples, h.dim))
-    u /= np.sqrt(np.sum(u * u, axis=1, keepdims=True))
-    vals = np.einsum("ni,ij,nj->n", u, a, u)
-    best = u[int(np.argmax(vals))]
-    best_val = float(vals.max())
+    best, best_val = _best_direction(rng.standard_normal((n_samples, h.dim)), a)
 
     step = 0.3
     n_probe = 24
     for _ in range(polish_rounds):
-        cand = best + step * rng.standard_normal((n_probe, h.dim))
-        cand /= np.sqrt(np.sum(cand * cand, axis=1, keepdims=True))
-        cvals = np.einsum("ni,ij,nj->n", cand, a, cand)
-        i = int(np.argmax(cvals))
-        if cvals[i] > best_val:
-            best_val = float(cvals[i])
-            best = cand[i]
+        cand, cand_val = _best_direction(best + step * rng.standard_normal((n_probe, h.dim)), a)
+        if cand_val > best_val:
+            best, best_val = cand, cand_val
         else:
             step *= 0.7
         if step < 1e-8:
@@ -338,10 +342,17 @@ def sampled_worst_case_variance(
 
 
 def sample_feasible_covariance(
-    b: GeometryBudget, rng: np.random.Generator
-) -> SymMatrix:
-    """Random PSD covariance rescaled onto the budget surface tr(H Sigma) = c."""
-    w = rng.standard_normal((b.d, b.d))
-    raw = w.T @ w + 1e-6 * np.eye(b.d)
-    scale = b.c / float(np.trace(b.h.entries @ raw))
-    return SymMatrix(scale * raw)
+    b: GeometryBudget, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` random PD covariances on the budget surface tr(H Sigma) = c, as
+    one exactly symmetric (n, d, d) array.
+
+    Each draw is W'W + 1e-6 I for a standard normal (d, d) matrix W, rescaled
+    onto the budget.  The (n, d, d) normal draw consumes the generator's
+    stream exactly as n separate (d, d) draws would.
+    """
+    d = b.d
+    w = rng.standard_normal((n, d, d))
+    raw = w.transpose(0, 2, 1) @ w + 1e-6 * np.eye(d)
+    raw *= (b.c / np.einsum("ij,nji->n", b.h.entries, raw))[:, None, None]
+    return 0.5 * (raw + raw.transpose(0, 2, 1))

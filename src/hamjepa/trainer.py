@@ -403,32 +403,36 @@ def validate_config(raw: dict) -> dict:
     if cfg["data"]["num_global_views"] != 2:
         raise ConfigError("data.num_global_views: exactly 2 global views are supported")
     int_floors = [
-        ("data.n_samples", 1), ("data.batch_size", 1), ("train.epochs", 0), ("train.log_every", 1)
+        ("data.n_samples", 1), ("data.batch_size", 1), ("data.n_classes", 1),
+        ("data.latent_dim", 1), ("train.epochs", 0), ("train.log_every", 1),
     ]
-    positive = []
+    # finite numbers: (path, lower bound, lower bound allowed, upper bound)
+    ranges = [
+        ("data.noise_std", 0, True, math.inf),
+        ("data.flow_time", 0, True, math.inf),
+        ("data.stiffness_max", 0, False, math.inf),
+        ("train.min_lr_ratio", 0, False, 1),
+    ]
     if mode == "hjepa":
         int_floors += [
             ("hjepa.steps", 1),
             ("regularizer.q_logdet_refresh_interval", 1),
             ("regularizer.p_logdet_refresh_interval", 1),
         ]
-        positive.append("hjepa.dt")
+        ranges.append(("hjepa.dt", 0, False, math.inf))
     else:
         int_floors += [
             ("regularizer.n_slices", 1),
             ("regularizer.n_knots", 1),
             ("regularizer.refresh_interval", 1),
         ]
-        positive.append("regularizer.knot_max")
+        ranges.append(("regularizer.knot_max", 0, False, math.inf))
     for path, minimum in int_floors:
         block, key = path.split(".")
         _require_int(path, cfg[block][key], minimum)
-    for path in positive:
+    for path, low, closed, high in ranges:
         block, key = path.split(".")
-        value = cfg[block][key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value < math.inf):
-            raise ConfigError(f"{path} must be a finite number > 0, got {value!r}")
+        _require_number(path, cfg[block][key], low, closed, high)
     data = cfg["data"]
     tail = 0 if data["drop_last"] else data["n_samples"] % data["batch_size"]
     if mode == "baseline" and (data["batch_size"] < 2 or tail == 1):
@@ -443,6 +447,14 @@ def _require_int(path: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _require_number(path: str, value, low, closed: bool, high) -> None:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and value < math.inf and (low <= value if closed else low < value)
+            and value <= high):
+        bounds = f"{'>=' if closed else '>'} {low}" + (f" and <= {high}" if high < math.inf else "")
+        raise ConfigError(f"{path} must be a finite number {bounds}, got {value!r}")
 
 
 # --- training ------------------------------------------------------------------
@@ -867,7 +879,10 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
                     continue
                 frac = min(epoch + (b + 1) / steps_per_epoch, schedule.total_epochs)
                 lr = lr_at(schedule, train_cfg["lr"], frac)
-                report = run_step(epoch, idx, lr, frac, global_step)
+                try:
+                    report = run_step(epoch, idx, lr, frac, global_step)
+                except OverflowError as exc:
+                    raise TrainingAbort(f"overflow at step {global_step}: {exc}") from exc
                 report["lr"] = lr
                 report["epoch"] = epoch
                 epoch_totals.append(report["total"])

@@ -145,6 +145,21 @@ def test_expressivity_realization():
     run_check("expressivity")
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "maxent_gap",
+        "whiten_and_roundtrip",
+        "symplectic_factorization",
+        "anti_collapse_witnesses",
+        "sigreg_calibration",
+    ],
+)
+def test_supporting_check_passes(name):
+    # the registered checks without a numbered criterion of their own
+    run_check(name)
+
+
 def test_verify_aggregates_the_full_registry():
     # every acceptance-facing check is reachable through the CLI registry
     for name in (

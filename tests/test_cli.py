@@ -128,6 +128,14 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
             {"data": {"n_samples": 257, "drop_last": False}}, "data.batch_size",
             id="baseline-last-batch-1",
         ),
+        pytest.param({"data": {"n_classes": 0}}, "data.n_classes", id="n_classes-0"),
+        pytest.param({"data": {"latent_dim": 0}}, "data.latent_dim", id="latent_dim-0"),
+        pytest.param({"data": {"noise_std": -1}}, "data.noise_std", id="noise_std-neg"),
+        pytest.param({"data": {"flow_time": -1}}, "data.flow_time", id="flow_time-neg"),
+        pytest.param(
+            {"data": {"stiffness_max": -1}}, "data.stiffness_max", id="stiffness_max-neg"
+        ),
+        pytest.param({"train": {"min_lr_ratio": 0}}, "train.min_lr_ratio", id="min_lr_ratio-0"),
     ],
 )
 def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
@@ -135,6 +143,17 @@ def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
+
+
+def test_train_overflow_aborts_exit_3(tmp_path, capsys):
+    # lr 1e9 blows the encoder up within the first epoch; the squared second
+    # moment in the energy budget then overflows a Python float
+    cfg_path = write_config(
+        tmp_path / "cfg.json", {"hjepa": {}, "train": {"lr": 1e9, "epochs": 1}}
+    )
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "training aborted" in err and "overflow" in err and "Traceback" not in err
 
 
 def test_train_missing_config_exit_2(tmp_path):
@@ -217,3 +236,34 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path / "cfg.json", TINY)
     monkeypatch.setenv("HAMJEPA_SEED", "not-a-number")
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--filter", "slice_demo", "--seed", "-1"], id="verify-seed-neg"),
+        pytest.param(["slicedemo", "--dt", "0.3", "--horizon", "1", "--seed", "-1"],
+                     id="slicedemo-seed-neg"),
+        pytest.param(["slicedemo", "--dt", "nan", "--horizon", "1"], id="dt-nan"),
+        pytest.param(["slicedemo", "--dt", "inf", "--horizon", "1"], id="dt-inf"),
+        pytest.param(["slicedemo", "--dt", "0.3", "--horizon", "inf"], id="horizon-inf"),
+    ],
+)
+def test_bad_argument_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "slicedemo", "train"])
+def test_env_seed_negative_exit_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("HAMJEPA_SEED", "-3")
+    argv = {
+        "verify": ["verify", "--filter", "slice_demo"],
+        "slicedemo": ["slicedemo", "--dt", "0.3", "--horizon", "1"],
+        "train": ["train", "--config", write_config(tmp_path / "cfg.json", TINY)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "HAMJEPA_SEED" in err and "Traceback" not in err

@@ -66,6 +66,20 @@ def test_worst_case_variance_matches_direction_sampling_seed2():
     assert abs(analytic - sampled) / analytic <= 1e-3
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sampled_worst_case_variance_matches_top_eigenvalue(d):
+    rng = np.random.default_rng(100 + d)
+    sigma = SymMatrix(random_spd(rng, d, 0.2))
+    hmat = random_spd(rng, d, 0.5)
+    # independent of the package's spectral route: LAPACK on L' Sigma L,
+    # which has the eigenvalues of H^{1/2} Sigma H^{1/2}
+    chol = np.linalg.cholesky(hmat)
+    exact = np.linalg.eigvalsh(chol.T @ sigma.entries @ chol)[-1]
+    sampled = sampled_worst_case_variance(sigma, SPDOperator(hmat), 100_000, rng)
+    assert sampled <= exact * (1 + 1e-12)
+    assert abs(exact - sampled) / exact <= 2e-3
+
+
 def test_worst_case_variance_dim_mismatch():
     with pytest.raises(ValueError):
         worst_case_variance(SymMatrix(np.eye(2)), SPDOperator(np.eye(3)))
@@ -88,10 +102,33 @@ def test_minimax_diagonal_case():
     assert np.allclose(star.entries, 0.5 * np.diag([1.0 / 3.0, 1.0]), atol=1e-12)
     assert abs(worst_case_variance(star, h).value - 0.5) < 1e-12
     # feasible alternatives never do better
-    rng = np.random.default_rng(14)
-    for _ in range(10_000):
-        cand = sample_feasible_covariance(b, rng)
-        assert worst_case_variance(cand, h).value >= 0.5 - 1e-6
+    for cand in sample_feasible_covariance(b, 10_000, np.random.default_rng(14)):
+        assert worst_case_variance(SymMatrix(cand), h).value >= 0.5 - 1e-6
+
+
+def reference_feasible_covariance(b, rng):
+    """The single-draw sampler the batched one replaced, kept as its reference."""
+    w = rng.standard_normal((b.d, b.d))
+    raw = w.T @ w + 1e-6 * np.eye(b.d)
+    scale = b.c / float(np.trace(b.h.entries @ raw))
+    return SymMatrix(scale * raw).entries
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sample_feasible_covariance_matches_single_draws(d):
+    setup = np.random.default_rng(200 + d)
+    b = GeometryBudget(SPDOperator(random_spd(setup, d, 0.3)), float(setup.uniform(0.5, 4.0)))
+    rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+    batch = sample_feasible_covariance(b, 1000, rng)
+    ref = np.stack([reference_feasible_covariance(b, ref_rng) for _ in range(1000)])
+    assert batch.shape == (1000, d, d)
+    assert np.abs(batch - ref).max() <= 1e-15 * np.abs(ref).max()
+    # same stream consumed: later draws are unaffected by the batching
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(batch, batch.transpose(0, 2, 1))
+    budget = np.einsum("ij,nji->n", b.h.entries, batch)
+    assert np.abs(budget - b.c).max() <= 1e-12 * b.c
+    np.linalg.cholesky(batch)  # raises unless every draw is positive definite
 
 
 def test_minimax_budget_and_value():
@@ -443,9 +480,8 @@ def test_maxent_gap_nonnegative_on_feasible_alternatives():
     rng = np.random.default_rng(61)
     h = SPDOperator(random_spd(rng, 4))
     b = GeometryBudget(h, 3.0)
-    for _ in range(1000):
-        alt = sample_feasible_covariance(b, rng)
-        assert maxent_gaussian_entropy_gap(b, alt) >= -1e-10
+    for alt in sample_feasible_covariance(b, 1000, rng):
+        assert maxent_gaussian_entropy_gap(b, SymMatrix(alt)) >= -1e-10
 
 
 def test_maxent_gap_rejects_budget_violation():
