@@ -189,15 +189,20 @@ def cmd_diagnose(args) -> int:
 
 def cmd_slicedemo(args) -> int:
     if not (0 < args.dt < math.inf and 0 < args.horizon < math.inf) or args.samples < 2:
-        print(
-            "config error: dt and horizon must be finite and positive, samples >= 2",
-            file=sys.stderr,
+        raise ConfigError("dt and horizon must be finite and positive, samples >= 2")
+    # compared before rounding, so that an overflowing ratio is caught too
+    if args.horizon / args.dt > diagnostics.SLICE_DEMO_MAX_STEPS + 0.5:
+        raise ConfigError(
+            f"horizon / dt must round to at most {diagnostics.SLICE_DEMO_MAX_STEPS} coarse steps"
         )
-        return EXIT_CONFIG
     seed = _env_seed(args.seed)
-    profiles = diagnostics.harmonic_slice_demo(
-        args.dt, args.horizon, args.samples, np.random.default_rng(seed)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below
+        profiles = diagnostics.harmonic_slice_demo(
+            args.dt, args.horizon, args.samples, np.random.default_rng(seed)
+        )
+    if not all(np.all(np.isfinite(p.g_values)) for p in profiles.values()):
+        print("slicedemo aborted: non-finite discrepancy profile", file=sys.stderr)
+        return EXIT_ABORT
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "slice_profile.csv")
     diagnostics.write_discrepancy_csv(

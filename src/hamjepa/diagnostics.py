@@ -18,6 +18,10 @@ from .numlin import SymMatrix, cholesky_factor, sym_eig
 # buffer while keeping each matrix product large.
 KNN_ROW_BLOCK = 128
 
+# Largest coarse step count round(horizon / dt) that the slicedemo command
+# accepts; the fine reference rollout takes 100 times as many steps.
+SLICE_DEMO_MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class SpectrumReport:

@@ -5,9 +5,8 @@ The energy is H(q, p) = 0.5 |p|^2 + V(q) with
 V(q) = 0.5 * alpha * |q|^2 + scale * f(q), f a small tanh MLP.  The kick
 updates need grad V, so backpropagating a loss through the integrator needs
 second derivatives of V: each force evaluation keeps a record of its
-forward and gradient intermediates, and the record supports both a
-value-path backward (for energy terms) and a gradient-path backward
-(Hessian-vector product plus parameter derivatives of grad V).
+forward and gradient intermediates, from which the reverse pass forms the
+Hessian-vector product and the parameter derivatives of grad V.
 
 All arrays are float64.  Batched states are rows; single states work too.
 The unrolled depth is small (K <= ~8) so every step's record is stored;
@@ -129,13 +128,12 @@ def init_potential(
 class ForceRecord:
     """Intermediates of one evaluation of (V, grad V) on a batch of q."""
 
-    __slots__ = ("q", "acts", "vs", "f", "value", "grad")
+    __slots__ = ("q", "acts", "vs", "value", "grad")
 
-    def __init__(self, q, acts, vs, f, value, grad):
+    def __init__(self, q, acts, vs, value, grad):
         self.q = q
         self.acts = acts  # a_1 .. a_{L-1}, post-tanh
         self.vs = vs  # v_0 .. v_{L-1}, gradient backsweep intermediates
-        self.f = f
         self.value = value
         self.grad = grad
 
@@ -165,7 +163,7 @@ def _eval_force(net: PotentialNet, q2d: np.ndarray) -> ForceRecord:
     value = 0.5 * net.alpha * np.sum(q2d * q2d, axis=1) + net.scale * f
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(value))):
         raise FloatingPointError("non-finite potential value or gradient (input layer)")
-    return ForceRecord(q2d, acts, vs, f, value, grad)
+    return ForceRecord(q2d, acts, vs, value, grad)
 
 
 def _force_backward(
@@ -201,31 +199,6 @@ def _force_backward(
             a_bar = z_bar @ net.weights[i - 1]
         else:
             q_bar = q_bar + z_bar @ net.weights[i - 1]
-    return q_bar
-
-
-def potential_value_backward(
-    net: PotentialNet, rec: ForceRecord, c: np.ndarray, grads: PotentialGrads
-) -> np.ndarray:
-    """Backward through sum_b c_b * V(q_b) for a stored evaluation record:
-    returns the q_bar contribution (c * grad V, reusing the stored gradient)
-    and accumulates the parameter derivatives at fixed q."""
-    q_bar = c[:, None] * rec.grad
-    grads.d_alpha += float(np.sum(c * 0.5 * np.sum(rec.q * rec.q, axis=1)))
-    grads.d_scale += float(np.sum(c * rec.f))
-    delta = (net.scale * c)[:, None]
-    last_in = rec.acts[-1] if rec.acts else rec.q
-    grads.d_weights[-1] += delta.T @ last_in
-    grads.d_biases[-1] += delta.sum(axis=0)
-    d = delta @ net.weights[-1]
-    for i in range(len(net.weights) - 1, 0, -1):
-        act = rec.acts[i - 1]
-        e = d * (1.0 - act**2)
-        prev = rec.acts[i - 2] if i >= 2 else rec.q
-        grads.d_weights[i - 1] += e.T @ prev
-        grads.d_biases[i - 1] += e.sum(axis=0)
-        d = e @ net.weights[i - 1]
-        # the resulting d at i == 1 is the q-chain, already counted via c * grad
     return q_bar
 
 

@@ -19,8 +19,6 @@ from .hamflow import (
     PotentialGrads,
     PotentialNet,
     RolloutSpec,
-    _eval_force,
-    potential_value_backward,
     rollout,
 )
 from .numlin import SymMatrix, cholesky_slogdet, orthonormalize_columns, sym_eig
@@ -37,14 +35,13 @@ class MatchSpec:
     mode: str = "q"  # "q" or "qp"
     p_weight: float = 0.0
     detach_target: bool = True
-    energy_weight: float = 0.0
     bidirectional: bool = False
 
     def __post_init__(self):
         if self.mode not in ("q", "qp"):
             raise ValueError(f"unknown match mode {self.mode!r}")
-        if self.p_weight < 0 or self.energy_weight < 0:
-            raise ValueError("weights must be nonnegative")
+        if self.p_weight < 0:
+            raise ValueError("p_weight must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -179,32 +176,7 @@ def _direction_loss(net, s_from: PhaseState, s_to: PhaseState, spec, match):
             if not match.detach_target:
                 d_to_p -= match.p_weight * 2.0 * resid_p / (B * d)
 
-    energy_rec = None
-    energy_upstream = None
-    if match.energy_weight > 0:
-        # energy of the prediction against the stop-gradient energy of the
-        # source state
-        rec_hat = _eval_force(net, out.q)
-        e_hat = 0.5 * np.sum(out.p**2, axis=1) + rec_hat.value
-        e_src = 0.5 * np.sum(s_from.p**2, axis=1) + _eval_force(net, s_from.q).value
-        delta = e_hat - e_src
-        loss += match.energy_weight * float(np.mean(delta**2))
-        c = match.energy_weight * 2.0 * delta / B
-        dq_hat += c[:, None] * rec_hat.grad
-        dp_hat += c[:, None] * out.p
-        energy_rec = rec_hat
-        energy_upstream = c
-
     d_from_q, d_from_p, grads = tape.backward(dq_hat, dp_hat)
-    if energy_rec is not None:
-        # the explicit parameter dependence of V(q_hat); its q-chain is
-        # already inside dq_hat, so only fixed-q parameter terms are added
-        extra = PotentialGrads.zeros_like(net)
-        potential_value_backward(net, energy_rec, energy_upstream, extra)
-        grads.add_(extra)
-        # remove the doubled q-path: value backward also returns c * grad,
-        # which tape.backward already propagated; parameter grads in `extra`
-        # are at fixed q, so nothing else to correct
     return loss, d_from_q, d_from_p, d_to_q, d_to_p, grads
 
 
@@ -219,8 +191,7 @@ def prediction_loss(
 
     Rolls s_a forward; with ``bidirectional`` also rolls s_b with the step
     sign flipped and averages the two directions.  The target branch
-    receives no gradient when ``detach_target`` is set; energy terms always
-    stop the gradient on the source energy.
+    receives no gradient when ``detach_target`` is set.
     """
     if s_a.q.shape != s_b.q.shape:
         raise ValueError(f"batch shape mismatch: {s_a.q.shape} vs {s_b.q.shape}")

@@ -8,9 +8,10 @@ predictive step (rollout prediction plus anti-collapse regularizers) and
 the mean-of-views baseline step with the sliced-CF regularizer.  Each is a
 pure loss-and-gradients function followed by one shared update.
 
-Everything is driven by a JSON config validated against a strict schema
-(unknown keys are rejected with their path).  Identical config and seed
-give bitwise-identical parameter trajectories, metrics, and checkpoints.
+Everything is driven by a JSON config validated against one schema table,
+which gives every key its default, its kind and its range; an unknown key or
+a bad value is rejected with its path.  Identical config and seed give
+bitwise-identical parameter trajectories, metrics, and checkpoints.
 """
 
 import json
@@ -258,94 +259,139 @@ def residual_scale_at(schedule: ScheduleSpec, epoch: float) -> float:
 
 # --- config schema -------------------------------------------------------------
 
-_DATA_DEFAULTS = {
-    "n_samples": 4096,
-    "n_classes": 10,
-    "latent_dim": 8,
-    "noise_std": 0.05,
-    "flow_time": 0.2,
-    "stiffness_max": 16.0,
-    "batch_size": 256,
-    "num_global_views": 2,
-    "drop_last": True,
-}
-_MODEL_DEFAULTS = {
-    "hidden_dims": [64, 64],
-    "embed_dim": 16,
-    "split_qp": True,
-    "projector_type": "identity",
-}
-_HJEPA_DEFAULTS = {
-    "hamiltonian": "separable",
-    "method": "leapfrog",
-    "steps": 2,
-    "dt": 0.1,
-    "learn_dt": False,
-    "hidden_dim": 64,
-    "depth": 2,
-    "residual_scale": 0.5,
-    "residual_scale_warmup_epochs": 5,
-    "base_coeff": 1.0,
-}
-_LOSS_DEFAULTS = {
-    "match": "q",
-    "p_weight": 0.0,
-    "detach_target": True,
-    "energy_weight": 0.0,
-    "bidirectional": False,
-}
-_REG_HJEPA_DEFAULTS = {
-    "q_per_dim_target": 1.0,
-    "p_per_dim_target": 1.0,
-    "q_std_floor": 0.1,
-    "var_floor_on_p": False,
-    "q_logdet_proj_dim": 8,
-    "q_logdet_floor": -1.0,
-    "q_logdet_eps": 1e-4,
-    "q_logdet_refresh_interval": 16,
-    "q_pr_norm_floor": None,
-    "q_eigmax_frac_ceiling": None,
-    "p_logdet_proj_dim": 8,
-    "p_logdet_floor": -1.0,
-    "p_logdet_eps": 1e-4,
-    "p_logdet_refresh_interval": 16,
-    "p_pr_norm_floor": None,
-    "p_eigmax_frac_ceiling": None,
-}
-_REG_BASELINE_DEFAULTS = {
-    "type": "sigreg",
-    "n_slices": 64,
-    "n_knots": 17,
-    "knot_max": 4.0,
-    "refresh_interval": 16,
-}
-_TRAIN_DEFAULTS = {
-    "epochs": 30,
-    "lr": 1e-3,
-    "h_lr": 1e-3,
-    "weight_decay": 0.01,
-    "warmup_epochs": 3,
-    "min_lr_ratio": 0.05,
-    "grad_clip": 1.0,
-    "log_every": 1,
-    "lambda_budget": 1.0,
-    "lambda_var": 1.0,
-    "lambda_logdet": 1.0,
-    "lambda_mean": 0.1,
-    "lambda_reg": 1.0,
-    "ckpt_dir": "runs/default",
-}
+
+@dataclass(frozen=True)
+class _Key:
+    """One settable key: its default, its kind and its range.
+
+    Kinds: "int", "number" (finite, int or float), "optional" (a number or
+    null), "bool", "str", "choice" (one of ``choices``) and "ints" (a list of
+    integers).  ``low`` and ``high`` bound the numbers and the list entries;
+    ``open_low`` excludes ``low`` itself.
+    """
+
+    default: object
+    kind: str
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False
+    choices: tuple = ()
+
+    def check(self, path: str, value) -> None:
+        if self.kind == "bool":
+            ok, want = isinstance(value, bool), "true or false"
+        elif self.kind == "str":
+            ok, want = isinstance(value, str), "a string"
+        elif self.kind == "choice":
+            ok, want = value in self.choices, "one of " + ", ".join(map(repr, self.choices))
+        elif self.kind == "ints":
+            ok = isinstance(value, (list, tuple)) and all(self._in_range(v, int) for v in value)
+            want = "a list of integers" + self._bounds()
+        elif self.kind == "int":
+            ok, want = self._in_range(value, int), "an integer" + self._bounds()
+        else:
+            optional = self.kind == "optional"
+            ok = self._in_range(value, (int, float)) or (optional and value is None)
+            want = "a finite number" + self._bounds() + (" or null" if optional else "")
+        if not ok:
+            raise ConfigError(f"{path} must be {want}, got {value!r}")
+
+    def _in_range(self, value, kind) -> bool:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            return False
+        if not -math.inf < value < math.inf:  # also false for nan
+            return False
+        return (self.low < value if self.open_low else self.low <= value) and value <= self.high
+
+    def _bounds(self) -> str:
+        low = f" {'>' if self.open_low else '>='} {self.low}" if self.low > -math.inf else ""
+        high = f" <= {self.high}" if self.high < math.inf else ""
+        return low + (" and" if low and high else "") + high
 
 
-def _merge_block(name: str, user: dict, defaults: dict) -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{name} must be an object")
-    for key in user:
-        if key not in defaults:
-            raise ConfigError(f"unknown key {name}.{key}")
-    merged = dict(defaults)
-    merged.update(user)
-    return merged
+def _floor_keys(half: str) -> dict:
+    """The projected log-det floor on the q or the p half of the state."""
+    return {
+        f"{half}_logdet_proj_dim": _Key(8, "int", 1),
+        f"{half}_logdet_floor": _Key(-1.0, "number"),
+        f"{half}_logdet_eps": _Key(1e-4, "number", 0, open_low=True),
+        f"{half}_logdet_refresh_interval": _Key(16, "int", 1),
+        f"{half}_pr_norm_floor": _Key(None, "optional", 0, 1, open_low=True),
+        f"{half}_eigmax_frac_ceiling": _Key(None, "optional", 0, 1, open_low=True),
+    }
+
+
+_SEED = _Key(42, "int", 0)
+_COMMON_BLOCKS = {
+    "data": {
+        "n_samples": _Key(4096, "int", 1),
+        "n_classes": _Key(10, "int", 1),
+        "latent_dim": _Key(8, "int", 1),
+        "noise_std": _Key(0.05, "number", 0),
+        "flow_time": _Key(0.2, "number", 0),
+        "stiffness_max": _Key(16.0, "number", 0, open_low=True),
+        "batch_size": _Key(256, "int", 1),
+        "drop_last": _Key(True, "bool"),
+    },
+    "model": {
+        "hidden_dims": _Key((64, 64), "ints", 1),
+        "embed_dim": _Key(16, "int", 2),  # even, for the q/p split
+    },
+    "train": {
+        "epochs": _Key(30, "int", 0),
+        "lr": _Key(1e-3, "number", 0),
+        "h_lr": _Key(1e-3, "number", 0),
+        "weight_decay": _Key(0.01, "number", 0),
+        "warmup_epochs": _Key(3, "number", 0),
+        "min_lr_ratio": _Key(0.05, "number", 0, 1, open_low=True),
+        "grad_clip": _Key(1.0, "number", 0, open_low=True),
+        "log_every": _Key(1, "int", 1),
+        "lambda_budget": _Key(1.0, "number", 0),
+        "lambda_var": _Key(1.0, "number", 0),
+        "lambda_logdet": _Key(1.0, "number", 0),
+        "lambda_mean": _Key(0.1, "number", 0),
+        "lambda_reg": _Key(1.0, "number", 0),
+        "ckpt_dir": _Key("runs/default", "str"),
+    },
+}
+# The keys of each mode, block by block: the schema validate_config walks.
+_SCHEMA = {
+    "baseline": {
+        **_COMMON_BLOCKS,
+        "regularizer": {
+            "n_slices": _Key(64, "int", 1),
+            "n_knots": _Key(17, "int", 1),
+            # the knot weights exp(-t^2 / 2) underflow to 0 beyond t = 38.6
+            "knot_max": _Key(4.0, "number", 0, 38.0, open_low=True),
+            "refresh_interval": _Key(16, "int", 1),
+        },
+    },
+    "hjepa": {
+        **_COMMON_BLOCKS,
+        "hjepa": {
+            "method": _Key("leapfrog", "choice", choices=("leapfrog", "symplectic_euler")),
+            "steps": _Key(2, "int", 1),
+            "dt": _Key(0.1, "number", 0, open_low=True),
+            "hidden_dim": _Key(64, "int", 1),
+            "depth": _Key(2, "int", 1),
+            "residual_scale": _Key(0.5, "number", 0),
+            "residual_scale_warmup_epochs": _Key(5, "number", 0),
+        },
+        "loss": {
+            "match": _Key("q", "choice", choices=("q", "qp")),
+            "p_weight": _Key(0.0, "number", 0),
+            "detach_target": _Key(True, "bool"),
+            "bidirectional": _Key(False, "bool"),
+        },
+        "regularizer": {
+            "q_per_dim_target": _Key(1.0, "number", 0, open_low=True),
+            "p_per_dim_target": _Key(1.0, "number", 0, open_low=True),
+            "q_std_floor": _Key(0.1, "number", 0),
+            **_floor_keys("q"),
+            **_floor_keys("p"),
+        },
+    },
+}
 
 
 def validate_config(raw: dict) -> dict:
@@ -353,87 +399,35 @@ def validate_config(raw: dict) -> dict:
 
     The run is in phase-space predictive mode exactly when the ``hjepa``
     block is present; otherwise it is the mean-of-views baseline with the
-    sliced-CF regularizer.  Unknown keys fail with their path.
+    sliced-CF regularizer.  Every key of ``_SCHEMA`` is checked against its
+    kind and range; an unknown key or a bad value fails with its path.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     mode = "hjepa" if "hjepa" in raw else "baseline"
-    allowed = {"seed", "data", "model", "train", "regularizer"}
-    if mode == "hjepa":
-        allowed |= {"hjepa", "loss"}
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key}")
+    schema = _SCHEMA[mode]
+    for name in raw:
+        if name != "seed" and name not in schema:
+            raise ConfigError(f"unknown key {name}")
+    cfg = {"seed": raw.get("seed", _SEED.default), "mode": mode}
+    _SEED.check("seed", cfg["seed"])
+    for name, keys in schema.items():
+        user = raw.get(name, {})
+        if not isinstance(user, dict):
+            raise ConfigError(f"{name} must be an object")
+        for key in user:
+            if key not in keys:
+                raise ConfigError(f"unknown key {name}.{key}")
+        cfg[name] = {key: user.get(key, spec.default) for key, spec in keys.items()}
+        for key, spec in keys.items():
+            spec.check(f"{name}.{key}", cfg[name][key])
 
-    cfg = {
-        "seed": _require_int("seed", raw.get("seed", 42), 0),
-        "mode": mode,
-        "data": _merge_block("data", raw.get("data", {}), _DATA_DEFAULTS),
-        "model": _merge_block("model", raw.get("model", {}), _MODEL_DEFAULTS),
-        "train": _merge_block("train", raw.get("train", {}), _TRAIN_DEFAULTS),
-    }
-    if mode == "hjepa":
-        cfg["hjepa"] = _merge_block("hjepa", raw.get("hjepa", {}), _HJEPA_DEFAULTS)
-        cfg["loss"] = _merge_block("loss", raw.get("loss", {}), _LOSS_DEFAULTS)
-        cfg["regularizer"] = _merge_block(
-            "regularizer", raw.get("regularizer", {}), _REG_HJEPA_DEFAULTS
-        )
-    else:
-        cfg["regularizer"] = _merge_block(
-            "regularizer", raw.get("regularizer", {}), _REG_BASELINE_DEFAULTS
-        )
-        if cfg["regularizer"]["type"] != "sigreg":
-            raise ConfigError("regularizer.type: only 'sigreg' is supported in baseline mode")
-
-    model = cfg["model"]
-    if model["embed_dim"] % 2 != 0:
+    # the rules that span several keys
+    if cfg["model"]["embed_dim"] % 2 != 0:
         raise ConfigError("model.embed_dim must be even for the q/p split")
-    if model["projector_type"] != "identity":
-        raise ConfigError("model.projector_type: only 'identity' is supported")
-    if mode == "hjepa":
-        if not model["split_qp"]:
-            raise ConfigError("model.split_qp must be true when the hjepa block is present")
-        hj = cfg["hjepa"]
-        if hj["learn_dt"]:
-            raise ConfigError("hjepa.learn_dt: learnable step size is rejected")
-        if hj["hamiltonian"] != "separable":
-            raise ConfigError("hjepa.hamiltonian: only 'separable' is supported")
-        if hj["method"] not in ("leapfrog", "symplectic_euler"):
-            raise ConfigError("hjepa.method must be 'leapfrog' or 'symplectic_euler'")
-    if cfg["data"]["num_global_views"] != 2:
-        raise ConfigError("data.num_global_views: exactly 2 global views are supported")
-    int_floors = [
-        ("data.n_samples", 1), ("data.batch_size", 1), ("data.n_classes", 1),
-        ("data.latent_dim", 1), ("train.epochs", 0), ("train.log_every", 1),
-    ]
-    # finite numbers: (path, lower bound, lower bound allowed, upper bound)
-    ranges = [
-        ("data.noise_std", 0, True, math.inf),
-        ("data.flow_time", 0, True, math.inf),
-        ("data.stiffness_max", 0, False, math.inf),
-        ("train.min_lr_ratio", 0, False, 1),
-    ]
-    if mode == "hjepa":
-        int_floors += [
-            ("hjepa.steps", 1),
-            ("regularizer.q_logdet_refresh_interval", 1),
-            ("regularizer.p_logdet_refresh_interval", 1),
-        ]
-        ranges.append(("hjepa.dt", 0, False, math.inf))
-    else:
-        int_floors += [
-            ("regularizer.n_slices", 1),
-            ("regularizer.n_knots", 1),
-            ("regularizer.refresh_interval", 1),
-        ]
-        ranges.append(("regularizer.knot_max", 0, False, math.inf))
-    for path, minimum in int_floors:
-        block, key = path.split(".")
-        _require_int(path, cfg[block][key], minimum)
-    for path, low, closed, high in ranges:
-        block, key = path.split(".")
-        _require_number(path, cfg[block][key], low, closed, high)
     data = cfg["data"]
+    if data["drop_last"] and data["batch_size"] > data["n_samples"]:
+        raise ConfigError("data.batch_size exceeds data.n_samples, so no batch is left")
     tail = 0 if data["drop_last"] else data["n_samples"] % data["batch_size"]
     if mode == "baseline" and (data["batch_size"] < 2 or tail == 1):
         raise ConfigError(
@@ -441,20 +435,6 @@ def validate_config(raw: dict) -> dict:
             "2 samples for the sliced-CF statistic"
         )
     return cfg
-
-
-def _require_int(path: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{path} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _require_number(path: str, value, low, closed: bool, high) -> None:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and value < math.inf and (low <= value if closed else low < value)
-            and value <= high):
-        bounds = f"{'>=' if closed else '>'} {low}" + (f" and <= {high}" if high < math.inf else "")
-        raise ConfigError(f"{path} must be a finite number {bounds}, got {value!r}")
 
 
 # --- training ------------------------------------------------------------------
@@ -475,7 +455,6 @@ class HamjepaStepSettings:
     match: MatchSpec
     reg_q: RegularizerSpec
     reg_p: RegularizerSpec
-    var_floor_on_p: bool
     lambdas: dict
 
 
@@ -494,7 +473,8 @@ def hamjepa_loss_and_grads(
     Both views go through a single concatenated encoder forward; the
     prediction loss rolls the first view's states; the scale/variance/
     volume/mean regularizers act on the concatenation of all views, with
-    the volume floor applied to the q and p halves separately.
+    the variance floor on the q half and the volume floor applied to the q
+    and p halves separately.
     """
     B = view_a.shape[0]
     d0 = enc.out_dim // 2
@@ -509,11 +489,7 @@ def hamjepa_loss_and_grads(
     lam = settings.lambdas
 
     l_budget, g_budget = energy_budget(z, settings.reg_q)
-    l_var, g_var_q = variance_floor(q_all, settings.reg_q.sigma_min)
-    g_var_p = None
-    if settings.var_floor_on_p:
-        l_var_p, g_var_p = variance_floor(p_all, settings.reg_q.sigma_min)
-        l_var += l_var_p
+    l_var, g_var = variance_floor(q_all, settings.reg_q.sigma_min)
     lvol_q, diag_q, g_vol_q = projected_logdet_floor(
         q_all, settings.reg_q, caches["q_proj"].get(step)
     )
@@ -556,9 +532,7 @@ def hamjepa_loss_and_grads(
     dz[B:, :d0] += pred.d_target.q
     dz[B:, d0:] += pred.d_target.p
     dz += lam["budget"] * g_budget
-    dz[:, :d0] += lam["var"] * g_var_q
-    if g_var_p is not None:
-        dz[:, d0:] += lam["var"] * g_var_p
+    dz[:, :d0] += lam["var"] * g_var
     dz[:, :d0] += lam["logdet"] * g_vol_q
     dz[:, d0:] += lam["logdet"] * g_vol_p
     dz += lam["mean"] * g_mean
@@ -710,7 +684,7 @@ def load_encoder(ckpt_dir: str) -> Encoder:
 def _build_settings(cfg: dict) -> HamjepaStepSettings:
     hj, loss, reg = cfg["hjepa"], cfg["loss"], cfg["regularizer"]
     d0 = cfg["model"]["embed_dim"] // 2
-    n_views_batch = cfg["data"]["batch_size"] * cfg["data"]["num_global_views"]
+    n_views_batch = 2 * cfg["data"]["batch_size"]  # both views of a batch
 
     def floor_spec(half: str) -> RegularizerSpec:
         return RegularizerSpec(
@@ -731,12 +705,10 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
             mode=loss["match"],
             p_weight=loss["p_weight"],
             detach_target=loss["detach_target"],
-            energy_weight=loss["energy_weight"],
             bidirectional=loss["bidirectional"],
         ),
         reg_q=floor_spec("q"),
         reg_p=floor_spec("p"),
-        var_floor_on_p=reg["var_floor_on_p"],
         lambdas={
             "budget": cfg["train"]["lambda_budget"],
             "var": cfg["train"]["lambda_var"],
@@ -807,7 +779,6 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
             np.random.default_rng(pot_seed),
             hidden_dim=hj["hidden_dim"],
             depth=hj["depth"],
-            alpha=hj["base_coeff"],
             scale=0.0,  # ramped by the residual schedule
         )
         params.update(named_params("pot", net.weights, net.biases))
@@ -861,8 +832,6 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     n = spec.n_samples
     batch = cfg["data"]["batch_size"]
     steps_per_epoch = n // batch if cfg["data"]["drop_last"] else math.ceil(n / batch)
-    if steps_per_epoch < 1:
-        raise ConfigError("data.batch_size exceeds the dataset size")
     shuffle_rng = np.random.default_rng(shuffle_seed)
     epochs = train_cfg["epochs"]
     global_step = 0

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamjepa import certify
+from hamjepa import certify, diagnostics, trainer
 from hamjepa.cli import main
 
 
@@ -128,6 +133,10 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
             {"data": {"n_samples": 257, "drop_last": False}}, "data.batch_size",
             id="baseline-last-batch-1",
         ),
+        pytest.param(
+            {"hjepa": {}, "data": {"n_samples": 64, "batch_size": 128}}, "data.batch_size",
+            id="batch_size-above-n_samples",
+        ),
         pytest.param({"data": {"n_classes": 0}}, "data.n_classes", id="n_classes-0"),
         pytest.param({"data": {"latent_dim": 0}}, "data.latent_dim", id="latent_dim-0"),
         pytest.param({"data": {"noise_std": -1}}, "data.noise_std", id="noise_std-neg"),
@@ -136,6 +145,77 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
             {"data": {"stiffness_max": -1}}, "data.stiffness_max", id="stiffness_max-neg"
         ),
         pytest.param({"train": {"min_lr_ratio": 0}}, "train.min_lr_ratio", id="min_lr_ratio-0"),
+        pytest.param({"hjepa": {}, "loss": {"match": "x"}}, "loss.match", id="match-str"),
+        pytest.param({"hjepa": {}, "loss": {"p_weight": -1}}, "loss.p_weight", id="p_weight-neg"),
+        pytest.param(
+            {"hjepa": {}, "regularizer": {"q_logdet_eps": 0}}, "regularizer.q_logdet_eps",
+            id="q_logdet_eps-0",
+        ),
+        pytest.param(
+            {"hjepa": {}, "regularizer": {"q_pr_norm_floor": 2}}, "regularizer.q_pr_norm_floor",
+            id="q_pr_norm_floor-2",
+        ),
+        pytest.param(
+            {"hjepa": {}, "regularizer": {"q_logdet_proj_dim": 0}},
+            "regularizer.q_logdet_proj_dim", id="q_logdet_proj_dim-0",
+        ),
+        pytest.param(
+            {"hjepa": {}, "regularizer": {"q_std_floor": "a"}}, "regularizer.q_std_floor",
+            id="q_std_floor-str",
+        ),
+        pytest.param({"hjepa": {}, "model": {"embed_dim": 0}}, "model.embed_dim", id="embed_dim-0"),
+        pytest.param(
+            {"hjepa": {}, "model": {"embed_dim": "16"}}, "model.embed_dim", id="embed_dim-str"
+        ),
+        pytest.param({"model": {"hidden_dims": "ab"}}, "model.hidden_dims", id="hidden_dims-str"),
+        pytest.param({"model": {"hidden_dims": [0]}}, "model.hidden_dims", id="hidden_dims-0"),
+        pytest.param({"hjepa": {}, "train": {"lr": "x"}}, "train.lr", id="lr-str"),
+        pytest.param({"hjepa": {}, "train": {"lr": -1}}, "train.lr", id="lr-neg"),
+        pytest.param({"hjepa": {}, "train": {"h_lr": -1}}, "train.h_lr", id="h_lr-neg"),
+        pytest.param(
+            {"hjepa": {}, "train": {"weight_decay": "x"}}, "train.weight_decay",
+            id="weight_decay-str",
+        ),
+        pytest.param(
+            {"hjepa": {}, "train": {"lambda_var": "x"}}, "train.lambda_var", id="lambda_var-str"
+        ),
+        pytest.param(
+            {"hjepa": {}, "train": {"warmup_epochs": -1}}, "train.warmup_epochs",
+            id="warmup_epochs-neg",
+        ),
+        pytest.param({"hjepa": {}, "train": {"grad_clip": 0}}, "train.grad_clip", id="grad_clip-0"),
+        pytest.param({"train": {"ckpt_dir": 5}}, "train.ckpt_dir", id="ckpt_dir-int"),
+        pytest.param({"data": {"drop_last": "no"}}, "data.drop_last", id="drop_last-str"),
+        pytest.param(
+            {"hjepa": {"residual_scale_warmup_epochs": "x"}}, "hjepa.residual_scale_warmup_epochs",
+            id="residual_scale_warmup_epochs-str",
+        ),
+        pytest.param(
+            {"hjepa": {"residual_scale": -1}}, "hjepa.residual_scale", id="residual_scale-neg"
+        ),
+        pytest.param({"hjepa": {"hidden_dim": -1}}, "hjepa.hidden_dim", id="hidden_dim-neg"),
+        pytest.param({"hjepa": {"hidden_dim": 0}}, "hjepa.hidden_dim", id="hidden_dim-0"),
+        pytest.param({"hjepa": {"depth": -1}}, "hjepa.depth", id="depth-neg"),
+        pytest.param({"hjepa": {"depth": 0}}, "hjepa.depth", id="depth-0"),
+        # deleted keys are unknown, even at the one value they used to accept
+        pytest.param({"hjepa": {"base_coeff": -1}}, "unknown key hjepa.base_coeff",
+                     id="deleted-base_coeff"),
+        pytest.param({"hjepa": {}, "loss": {"energy_weight": -1}}, "unknown key loss.energy_weight",
+                     id="deleted-energy_weight"),
+        pytest.param({"hjepa": {}, "regularizer": {"var_floor_on_p": False}},
+                     "unknown key regularizer.var_floor_on_p", id="deleted-var_floor_on_p"),
+        pytest.param({"hjepa": {"learn_dt": False}}, "unknown key hjepa.learn_dt",
+                     id="deleted-learn_dt"),
+        pytest.param({"hjepa": {"hamiltonian": "separable"}}, "unknown key hjepa.hamiltonian",
+                     id="deleted-hamiltonian"),
+        pytest.param({"hjepa": {}, "model": {"split_qp": True}}, "unknown key model.split_qp",
+                     id="deleted-split_qp"),
+        pytest.param({"model": {"projector_type": "identity"}}, "unknown key model.projector_type",
+                     id="deleted-projector_type"),
+        pytest.param({"data": {"num_global_views": 2}}, "unknown key data.num_global_views",
+                     id="deleted-num_global_views"),
+        pytest.param({"regularizer": {"type": "sigreg"}}, "unknown key regularizer.type",
+                     id="deleted-regularizer-type"),
     ],
 )
 def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
@@ -143,6 +223,37 @@ def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+# every settable key of either mode, with the mode that owns it
+SCHEMA_KEYS = [
+    (mode, path)
+    for mode, blocks in trainer._SCHEMA.items()
+    for path in ["seed"] + [f"{block}.{key}" for block, keys in blocks.items() for key in keys]
+]
+
+
+# 600 examples exhaust the (key, value) pairs: 80 keys times 7 values
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(SCHEMA_KEYS), st.sampled_from([0, -1, 1e300, "x", [], None, True]))
+def test_train_mutated_config_exits_cleanly(target, value):
+    mode, path = target
+    cfg = {"seed": 5, "data": {"n_samples": 64, "batch_size": 16}, "train": {"epochs": 1}}
+    if mode == "hjepa":
+        cfg["hjepa"] = {}
+    if path == "seed":
+        cfg["seed"] = value
+    else:
+        block, key = path.split(".")
+        cfg.setdefault(block, {})[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(os.path.join(tmp, "cfg.json"), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", cfg_path, "--out", os.path.join(tmp, "run")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_train_overflow_aborts_exit_3(tmp_path, capsys):
@@ -222,6 +333,28 @@ def test_slicedemo_rerun_identical(tmp_path):
     ).read_bytes()
 
 
+def test_slicedemo_coarse_step_bound_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(diagnostics, "SLICE_DEMO_MAX_STEPS", 10)
+    argv = ["slicedemo", "--dt", "0.1", "--samples", "50", "--out"]
+    assert main(argv + [str(tmp_path / "ten"), "--horizon", "1"]) == 0
+    assert main(argv + [str(tmp_path / "eleven"), "--horizon", "1.1"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon / dt" in err and "Traceback" not in err
+    assert not (tmp_path / "eleven").exists()
+
+
+def test_slicedemo_nonfinite_profile_exit_3(tmp_path, capsys):
+    # a single coarse step of 1e300 overflows the rollouts to inf - inf
+    code = main(
+        ["slicedemo", "--dt", "1e300", "--horizon", "1", "--samples", "50",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "aborted" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_seed_overrides_config(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path / "cfg.json", TINY)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
@@ -247,6 +380,8 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch):
         pytest.param(["slicedemo", "--dt", "nan", "--horizon", "1"], id="dt-nan"),
         pytest.param(["slicedemo", "--dt", "inf", "--horizon", "1"], id="dt-inf"),
         pytest.param(["slicedemo", "--dt", "0.3", "--horizon", "inf"], id="horizon-inf"),
+        pytest.param(["slicedemo", "--dt", "1e-300", "--horizon", "1"], id="dt-tiny"),
+        pytest.param(["slicedemo", "--dt", "0.3", "--horizon", "1e6"], id="horizon-huge"),
     ],
 )
 def test_bad_argument_exit_2(tmp_path, capsys, argv):

@@ -254,7 +254,7 @@ def test_config_mode_switch():
 
 
 def test_config_baseline_regularizer_type():
-    with pytest.raises(ConfigError, match="sigreg"):
+    with pytest.raises(ConfigError, match="unknown key regularizer.type"):
         validate_config({"regularizer": {"type": "vicreg"}})
 
 
@@ -312,6 +312,34 @@ def test_train_rerun_is_bitwise_identical(tmp_path):
     e1 = (tmp_path / "a" / "checkpoint_final" / "encoder.bin").read_bytes()
     e2 = (tmp_path / "b" / "checkpoint_final" / "encoder.bin").read_bytes()
     assert e1 == e2
+
+
+def first_step_with(tmp_path, name, regularizer):
+    cfg = tiny_train_config("unused", epochs=1)
+    cfg["regularizer"] = regularizer
+    result = train(cfg, out_dir=str(tmp_path / name))
+    return json.loads(open(result["metrics_path"]).readline())
+
+
+def test_config_pr_norm_floor_adds_pr_loss(tmp_path):
+    # a floor of 1.0 asks for the isotropic participation ratio k = 8, which
+    # a batch from the fresh encoder does not reach
+    default = first_step_with(tmp_path, "default", {})
+    floored = first_step_with(tmp_path, "floor", {"q_pr_norm_floor": 1.0})
+    assert default["L_pr"] == 0.0
+    assert floored["pr_q"] < 8
+    assert floored["L_pr"] == pytest.approx((8 - floored["pr_q"]) ** 2, rel=1e-12)
+
+
+def test_config_eigmax_ceiling_changes_logdet_loss(tmp_path):
+    # the top-eigenvalue fraction is at least 1/k = 0.125, so 0.13 binds
+    default = first_step_with(tmp_path, "default", {})
+    capped = first_step_with(tmp_path, "ceiling", {"q_eigmax_frac_ceiling": 0.13})
+    assert default["eigmax_frac_q"] > 0.13
+    assert capped["L_logdet"] != default["L_logdet"]
+    assert capped["L_logdet"] - default["L_logdet"] == pytest.approx(
+        (default["eigmax_frac_q"] - 0.13) ** 2, rel=1e-9
+    )
 
 
 def test_train_baseline_mode(tmp_path):
