@@ -11,6 +11,7 @@ returns a CheckResult with the measured residuals.
 """
 
 import copy
+import ctypes
 import hashlib
 import json
 import os
@@ -912,17 +913,78 @@ CHECKS = {
 }
 
 
+def worker_count(n_checks: int) -> int:
+    """Worker processes ``run_checks`` starts for ``n_checks`` checks: one
+    per CPU this process may run on, at most one per check.  1 means the
+    checks run in this process; so does a platform without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_checks))
+
+
+# system OpenBLAS, its 64-bit-integer build, and numpy wheels' scipy-openblas
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread():
+    """Pool initializer: cap a loaded OpenBLAS at one thread in this worker.
+
+    A forked worker keeps the parent's BLAS thread count, so N workers on N
+    CPUs would run N times as many BLAS threads as there are CPUs, and
+    OpenBLAS's spin-waiting threads then make the pooled run slower than the
+    serial one.  The library is found in the process's memory map (Linux);
+    elsewhere, or under another BLAS, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _run_one(job) -> CheckResult:
+    """Run and time one (name, seed) check in the calling process."""
+    name, seed = job
+    start = time.time()
+    result = CHECKS[name](seed)
+    result.passed = bool(result.passed)
+    result.seconds = time.time() - start
+    return result
+
+
 def run_checks(names=None, seed: int = 42) -> list:
-    """Run the named checks (all by default) and return their results."""
+    """Run the named checks (all by default) and return their results in
+    the order named.
+
+    Each check is a pure function of its seed, so the checks run in
+    ``worker_count`` forked worker processes, which inherit this process's
+    state, ``TOLERANCES`` included.  With one worker they run here, one
+    after another: ``taskset -c 0 hamjepa verify`` is the serial run.
+    Each result's ``seconds`` is timed where the check ran.  A check that
+    raises stops the run with its exception.
+    """
     selected = list(CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    results = []
-    for name in selected:
-        start = time.time()
-        result = CHECKS[name](seed)
-        result.passed = bool(result.passed)
-        result.seconds = time.time() - start
-        results.append(result)
-    return results
+    jobs = [(name, seed) for name in selected]
+    workers = worker_count(len(jobs))
+    if workers == 1:
+        return [_run_one(job) for job in jobs]
+    import multiprocessing  # imported here, as it would add ~5 ms to every command's start
+
+    with multiprocessing.get_context("fork").Pool(workers, _one_blas_thread) as pool:
+        return list(pool.imap(_run_one, jobs, chunksize=1))

@@ -75,6 +75,14 @@ def cmd_verify(args) -> int:
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        # wall-clock data goes beside the report, so the report stays byte identical
+        timings = {
+            "workers": certify.worker_count(len(results)),
+            "seconds": {r.name: r.seconds for r in results},
+        }
+        with open(os.path.join(args.out, "verify_timings.json"), "w") as fh:
+            json.dump(timings, fh, indent=1)
+            fh.write("\n")
     if not all_passed:
         failed = [r.name for r in results if not r.passed]
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)

@@ -125,18 +125,26 @@ def knn_accuracy(
     tr = normalize(train_x)
     te = normalize(test_x)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
+    # one set of block buffers per call, written in place block after block
+    block = (min(KNN_ROW_BLOCK, te.shape[0]), n_train)
+    sims_buf, part_buf = np.empty(block), np.empty(block)
+    above_buf, tied_buf = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
     correct = 0
     for start in range(0, te.shape[0], KNN_ROW_BLOCK):
-        sims = te[start : start + KNN_ROW_BLOCK] @ tr.T
-        rows = sims.shape[0]
-        kth = np.partition(sims, n_train - k, axis=1)[:, n_train - k, None]
-        above = sims > kth
-        tied = sims == kth
-        chosen = above | tied
+        queries = te[start : start + KNN_ROW_BLOCK]
+        rows = queries.shape[0]
+        sims = np.matmul(queries, tr.T, out=sims_buf[:rows])
+        part = part_buf[:rows]
+        np.copyto(part, sims)
+        part.partition(n_train - k, axis=1)
+        kth = part[:, n_train - k, None]
+        above = np.greater(sims, kth, out=above_buf[:rows])
+        tied = np.equal(sims, kth, out=tied_buf[:rows])
         room = k - above.sum(axis=1)
         over = tied.sum(axis=1) > room  # more ties at the k-th value than places left
+        ties = tied[over]  # a copy, taken before tied turns into chosen
+        chosen = np.logical_or(above, tied, out=tied)
         if over.any():
-            ties = tied[over]
             chosen[over] = above[over] | (ties & (np.cumsum(ties, axis=1) <= room[over, None]))
         row, col = np.nonzero(chosen)
         votes = np.bincount(row * n_classes + train_y[col], minlength=rows * n_classes)

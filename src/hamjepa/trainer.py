@@ -592,13 +592,24 @@ def lejepa_loss_and_grads(
 
 
 def _apply_update(
-    breakdown: dict, grads: dict, opt: OptimizerState, params: dict, lrs: dict, grad_clip: float
+    breakdown: dict,
+    grads: dict,
+    opt: OptimizerState,
+    params: dict,
+    lrs: dict,
+    grad_clip: float,
+    step: int,
 ) -> dict:
-    """The update shared by both step types: abort on a non-finite total,
-    clip the global gradient norm, record it, and take one AdamW step."""
+    """The update shared by both step types: abort on a non-finite total or
+    gradient norm, clip the global gradient norm, record it, and take one
+    AdamW step."""
     if not np.isfinite(breakdown["total"]):
         raise TrainingAbort(f"non-finite loss: {breakdown}")
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if not math.isfinite(norm):
+        what = "overflows" if norm == math.inf else "is NaN"
+        raise TrainingAbort(f"gradient norm {what} at step {step}")
     if grad_clip > 0 and norm > grad_clip:
         scale = grad_clip / norm
         for g in grads.values():
@@ -623,7 +634,7 @@ def hamjepa_train_step(
 ) -> dict:
     """One phase-space predictive step: loss and gradients, then the update."""
     breakdown, grads = hamjepa_loss_and_grads(enc, net, view_a, view_b, settings, caches, step)
-    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip)
+    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip, step)
 
 
 def lejepa_train_step(
@@ -640,7 +651,7 @@ def lejepa_train_step(
 ) -> dict:
     """One baseline step: loss and gradients, then the update."""
     breakdown, grads = lejepa_loss_and_grads(enc, views, sigreg_spec, slice_cache, lambda_reg, step)
-    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip)
+    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip, step)
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -37,17 +39,50 @@ def test_verify_filter_runs_named_checks_only(tmp_path, capsys):
     assert [r["name"] for r in report["results"]] == ["convergence_order"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_verify_report_identical_pinned_to_one_cpu_and_unpinned(tmp_path):
+    checks = "convergence_order,reversibility,maxent_gap,slice_demo,no_universal_target"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    for sub, pin in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("free", None)):
+        subprocess.run(
+            [sys.executable, "-m", "hamjepa.cli", "verify", "--filter", checks,
+             "--out", str(tmp_path / sub)],
+            env=env, preexec_fn=pin, check=True, capture_output=True,
+        )
+    pinned, free = tmp_path / "pinned", tmp_path / "free"
+    assert (pinned / "verify_report.json").read_bytes() == (free / "verify_report.json").read_bytes()
+    assert json.loads((pinned / "verify_timings.json").read_text())["workers"] == 1
+    assert json.loads((free / "verify_timings.json").read_text())["workers"] == min(
+        len(os.sched_getaffinity(0)), 5
+    )
+
+
+def test_verify_writes_timings_beside_the_report(tmp_path):
+    assert main(["verify", "--filter", "slice_demo,convergence_order", "--out", str(tmp_path)]) == 0
+    timings = json.loads((tmp_path / "verify_timings.json").read_text())
+    assert timings["workers"] == certify.worker_count(2)
+    assert list(timings["seconds"]) == ["slice_demo", "convergence_order"]
+    assert all(s >= 0.0 for s in timings["seconds"].values())
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert "seconds" not in json.dumps(report)
+
+
 def test_verify_unknown_filter_is_config_error(capsys):
     assert main(["verify", "--filter", "no_such_check"]) == 2
 
 
 def test_verify_corrupted_tolerance_fails_named_check(tmp_path, monkeypatch, capsys):
+    # two checks run in two forked workers, which inherit the patched table
+    monkeypatch.setattr(certify, "worker_count", lambda n_checks: min(2, n_checks))
     monkeypatch.setitem(certify.TOLERANCES, "order_slope_band", 1e-12)
-    code = main(["verify", "--filter", "convergence_order", "--out", str(tmp_path)])
+    monkeypatch.setitem(certify.TOLERANCES, "reversibility_max", 0.0)
+    code = main(["verify", "--filter", "convergence_order,reversibility", "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert "FAIL convergence_order" in captured.out
-    assert "convergence_order" in captured.err
+    assert "FAIL reversibility" in captured.out
+    assert "failed checks: convergence_order, reversibility" in captured.err
 
 
 def test_verify_report_rerun_is_byte_identical(tmp_path):
@@ -265,6 +300,25 @@ def test_train_overflow_aborts_exit_3(tmp_path, capsys):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert "training aborted" in err and "overflow" in err and "Traceback" not in err
+
+
+def test_train_overflowing_gradient_norm_aborts_exit_3(tmp_path, capsys):
+    # a finite loss whose gradient's squared norm overflows aborts the run
+    # instead of taking a silent zero step and logging "grad_norm": Infinity
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        {
+            "seed": 1,
+            "data": {"n_samples": 64, "batch_size": 16},
+            "train": {"epochs": 1, "lambda_reg": 1e300},
+        },
+    )
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "training aborted" in err and "gradient norm overflows at step 0" in err
+    assert "Traceback" not in err
+    metrics = (tmp_path / "run" / "metrics.jsonl").read_text()
+    assert "Infinity" not in metrics and "NaN" not in metrics
 
 
 def test_train_missing_config_exit_2(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,98 @@ def test_rollout_nonfinite_reports_step():
     st = PhaseState(np.array([1.0]), np.array([0.0]))
     with pytest.raises(FloatingPointError, match="step"):
         rollout(net, st, RolloutSpec("leapfrog", 10.0, 50, 1))
+
+
+def _potential3():
+    return init_potential(3, np.random.default_rng(0), hidden_dim=5, depth=2, alpha=1.0, scale=1.0)
+
+
+def _poisoned_net(where, value):
+    net = _potential3()
+    kind, layer = where
+    (net.weights if kind == "w" else net.biases)[layer].flat[0] = value
+    return net
+
+
+_FINITE_STATE = PhaseState(
+    np.random.default_rng(1).standard_normal((4, 3)), np.random.default_rng(2).standard_normal((4, 3))
+)
+
+
+def _step_in_message(exc):
+    match = re.search(r"rollout step (\d+)", str(exc))
+    return None if match is None else int(match.group(1))
+
+
+# (method, poisoned parameter, value) -> the step named in the message;
+# None: raised by leapfrog's first force evaluation, which has no step
+@pytest.mark.parametrize(
+    "method, where, value, step",
+    [
+        (method, where, value, None if method == "leapfrog" else 0)
+        for method in ("leapfrog", "symplectic_euler")
+        for where in (("w", 0), ("w", 1), ("w", 2), ("b", 0), ("b", 2))
+        for value in (np.nan, np.inf)
+        if where != ("b", 0) or not np.isinf(value)
+    ],
+)
+def test_rollout_nonfinite_weights_raise_at_pinned_step(method, where, value, step):
+    net = _poisoned_net(where, value)
+    with pytest.raises(FloatingPointError) as info:
+        rollout(net, _FINITE_STATE, RolloutSpec(method, 0.1, 3, 1), record=True)
+    assert _step_in_message(info.value) == step
+
+
+@pytest.mark.parametrize("method", ["leapfrog", "symplectic_euler"])
+def test_rollout_saturating_inf_bias_stays_finite(method):
+    # tanh(+inf) = 1 and its derivative is 0, so an infinite first-layer
+    # bias leaves every value and gradient finite
+    net = _poisoned_net(("b", 0), np.inf)
+    out, tape = rollout(net, _FINITE_STATE, RolloutSpec(method, 0.1, 3, 1), record=True)
+    assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
+    dq, dp, _ = tape.backward(np.ones((4, 3)), np.ones((4, 3)))
+    assert np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rollout_input_is_rejected_by_the_state(value):
+    q = np.zeros(3)
+    q[0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        PhaseState(q, np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        PhaseState(np.zeros(3), q)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_potential_eval_nonfinite_input_raises(value):
+    net = _potential3()
+    with pytest.raises(FloatingPointError) as info:
+        potential_eval(net, np.array([value, 0.0, 0.0]))
+    assert _step_in_message(info.value) is None
+
+
+@pytest.mark.parametrize(
+    "method, state, dt, steps, step",
+    [
+        # an unstable step size grows the state until the force overflows
+        ("leapfrog", "stiff", 10.0, 50, 15),
+        ("symplectic_euler", "stiff", 10.0, 50, 16),
+        # a momentum near the float64 limit overflows the first drift
+        ("leapfrog", "fast", 10.0, 5, 0),
+        ("symplectic_euler", "fast", 10.0, 5, 0),
+    ],
+)
+def test_rollout_overflow_names_the_step(method, state, dt, steps, step):
+    if state == "stiff":
+        net = quadratic_net(1, alpha=1e8)
+        st = PhaseState(np.array([1.0]), np.array([0.0]))
+    else:
+        net = _potential3()
+        st = PhaseState(_FINITE_STATE.q, _FINITE_STATE.p * 1e307)
+    with pytest.raises(FloatingPointError) as info:
+        rollout(net, st, RolloutSpec(method, dt, steps, 1))
+    assert _step_in_message(info.value) == step
 
 
 def test_rollout_spec_validation():

@@ -189,10 +189,29 @@ def test_update_aborts_on_nonfinite_total_before_touching_params():
     opt = OptimizerState()
     breakdown = {"total": float("nan")}
     with pytest.raises(TrainingAbort, match="non-finite loss"):
-        _apply_update(breakdown, {"w": np.array([0.5, 0.5])}, opt, params, {"w": 0.1}, 1.0)
+        _apply_update(breakdown, {"w": np.array([0.5, 0.5])}, opt, params, {"w": 0.1}, 1.0, 0)
     assert np.array_equal(params["w"], [1.0, 2.0])
     assert opt.step == 0
     assert opt.m == {} and opt.v == {}
+
+
+@pytest.mark.parametrize(
+    "grad, message",
+    [
+        # every entry is finite, but the sum of their squares overflows
+        ([1e200, 1e200], "gradient norm overflows at step 7"),
+        ([np.nan, 0.5], "gradient norm is NaN at step 7"),
+    ],
+)
+def test_update_aborts_on_nonfinite_gradient_norm_naming_the_step(grad, message):
+    params = {"w": np.array([1.0, 2.0])}
+    opt = OptimizerState()
+    breakdown = {"total": 1.0}
+    with pytest.raises(TrainingAbort, match=message):
+        _apply_update(breakdown, {"w": np.array(grad)}, opt, params, {"w": 0.1}, 1.0, 7)
+    assert np.array_equal(params["w"], [1.0, 2.0])
+    assert opt.step == 0
+    assert "grad_norm" not in breakdown
 
 
 # --- schedules --------------------------------------------------------------------
