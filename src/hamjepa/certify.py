@@ -933,13 +933,16 @@ _OPENBLAS_SETTERS = (
 
 
 def _one_blas_thread():
-    """Pool initializer: cap a loaded OpenBLAS at one thread in this worker.
+    """Cap a loaded OpenBLAS at one thread in this process.
 
-    A forked worker keeps the parent's BLAS thread count, so N workers on N
-    CPUs would run N times as many BLAS threads as there are CPUs, and
-    OpenBLAS's spin-waiting threads then make the pooled run slower than the
-    serial one.  The library is found in the process's memory map (Linux);
-    elsewhere, or under another BLAS, nothing changes.
+    ``cli.main`` calls it before every command, and ``run_checks`` passes it
+    as the pool initializer, for library callers.  The matrices here are too
+    small to gain from a split: with one thread per CPU, OpenBLAS's
+    spin-waiting helpers only burn CPU (an 8-epoch hjepa ``train`` used
+    twice the CPU time for the same result), and a forked worker keeps the
+    parent's thread count, so N workers on N CPUs would run N times as many
+    BLAS threads as there are CPUs.  The library is found in the process's
+    memory map (Linux); elsewhere, or under another BLAS, nothing changes.
     """
     try:
         with open("/proc/self/maps") as fh:

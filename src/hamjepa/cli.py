@@ -11,6 +11,7 @@ exit code).  Exit codes: 0 success, 1 check failure, 2 config error,
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -25,6 +26,39 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
+
+# glibc's mallopt(3) parameters and the values every command runs with
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20  # glibc's ceiling for its dynamic threshold on 64-bit
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+def _fix_malloc_thresholds():
+    """Give glibc's allocator fixed mmap and trim thresholds.
+
+    glibc starts with a 128 KiB mmap threshold and raises it whenever a
+    larger mmapped block is freed, lowering the trim threshold with it.  A
+    training step's 256 x 64 float64 temporaries are exactly 128 KiB, so
+    whether they come from the heap or from a fresh, page-faulted mmap on
+    every call depends on the process's allocation history, and an
+    unrelated change can flip a whole run between a low-fault and a
+    high-fault mode.  Setting either value turns the dynamic rule off, so
+    both are set: a fixed trim threshold alone still mmaps every 128 KiB
+    block.  The mmap threshold is glibc's own ceiling, and the trim
+    threshold keeps freed blocks of that size in the heap.  Where the C
+    library has no ``mallopt``, nothing changes.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
+    except (OSError, TypeError):  # TypeError: Windows has no such handle
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def _env_seed(default: int) -> int:
@@ -259,6 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # process set-up, before any command: it changes speed, never results
+    _fix_malloc_thresholds()
+    certify._one_blas_thread()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -128,12 +128,14 @@ def init_potential(
 class ForceRecord:
     """Intermediates of one evaluation of (V, grad V) on a batch of q."""
 
-    __slots__ = ("q", "acts", "vs", "value", "grad")
+    __slots__ = ("q", "acts", "slopes", "vs", "us", "value", "grad")
 
-    def __init__(self, q, acts, vs, value, grad):
+    def __init__(self, q, acts, slopes, vs, us, value, grad):
         self.q = q
         self.acts = acts  # a_1 .. a_{L-1}, post-tanh
+        self.slopes = slopes  # 1 - a_i^2, the tanh derivative of each hidden layer
         self.vs = vs  # v_0 .. v_{L-1}, gradient backsweep intermediates
+        self.us = us  # slot i holds u_i = v_i * (1 - a_i^2); slot 0 is unused
         self.value = value
         self.grad = grad
 
@@ -141,29 +143,33 @@ class ForceRecord:
 def _eval_force(net: PotentialNet, q2d: np.ndarray) -> ForceRecord:
     L = len(net.weights)
     a = q2d
-    acts = []
+    acts, slopes = [], []
     for i in range(L - 1):
-        a = np.tanh(a @ net.weights[i].T + net.biases[i])
-        if not np.all(np.isfinite(a)):
-            raise FloatingPointError(f"non-finite activation at layer {i}")
+        a = a @ net.weights[i].T
+        a += net.biases[i]
+        np.tanh(a, out=a)
+        slope = a * a
+        np.subtract(1.0, slope, out=slope)
         acts.append(a)
+        slopes.append(slope)
     f = (acts[-1] if acts else q2d) @ net.weights[-1].T + net.biases[-1]
     f = f[:, 0]
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError(f"non-finite output at layer {L - 1}")
 
     # gradient backsweep, kept because the Hessian pass re-differentiates it
     B = q2d.shape[0]
     vs = [None] * L
+    us = [None] * L
     vs[L - 1] = np.broadcast_to(net.weights[-1][0], (B, net.weights[-1].shape[1])).copy()
     for i in range(L - 1, 0, -1):
-        u = vs[i] * (1.0 - acts[i - 1] ** 2)
-        vs[i - 1] = u @ net.weights[i - 1]
+        us[i] = vs[i] * slopes[i - 1]
+        vs[i - 1] = us[i] @ net.weights[i - 1]
     grad = net.alpha * q2d + net.scale * vs[0]
     value = 0.5 * net.alpha * np.sum(q2d * q2d, axis=1) + net.scale * f
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(value))):
-        raise FloatingPointError("non-finite potential value or gradient (input layer)")
-    return ForceRecord(q2d, acts, vs, value, grad)
+    # A NaN anywhere upstream reaches both; an infinite pre-activation
+    # saturates tanh and is harmless unless it reaches them too.
+    if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+        raise FloatingPointError("non-finite potential value or gradient")
+    return ForceRecord(q2d, acts, slopes, vs, us, value, grad)
 
 
 def _force_backward(
@@ -179,26 +185,27 @@ def _force_backward(
 
     a_bars = [None] * L  # slot i holds the adjoint of acts[i-1]
     for i in range(1, L):
-        act = rec.acts[i - 1]
-        u_i = rec.vs[i] * (1.0 - act**2)
         u_bar = v_bar @ net.weights[i - 1].T
-        grads.d_weights[i - 1] += u_i.T @ v_bar
-        v_bar = u_bar * (1.0 - act**2)
-        a_bars[i] = u_bar * rec.vs[i] * (-2.0 * act)
+        grads.d_weights[i - 1] += rec.us[i].T @ v_bar
+        v_bar = u_bar * rec.slopes[i - 1]
+        u_bar *= rec.vs[i]
+        u_bar *= -2.0 * rec.acts[i - 1]
+        a_bars[i] = u_bar
     grads.d_weights[-1][0] += v_bar.sum(axis=0)
 
-    a_bar = np.zeros_like(rec.acts[-1]) if L > 1 else None
+    a_bar = None
     for i in range(L - 1, 0, -1):
-        act = rec.acts[i - 1]
-        total = a_bars[i] if a_bar is None else a_bars[i] + a_bar
-        z_bar = total * (1.0 - act**2)
+        z_bar = a_bars[i]
+        if a_bar is not None:
+            z_bar += a_bar
+        z_bar *= rec.slopes[i - 1]
         prev = rec.acts[i - 2] if i >= 2 else rec.q
         grads.d_weights[i - 1] += z_bar.T @ prev
         grads.d_biases[i - 1] += z_bar.sum(axis=0)
         if i >= 2:
             a_bar = z_bar @ net.weights[i - 1]
         else:
-            q_bar = q_bar + z_bar @ net.weights[i - 1]
+            q_bar += z_bar @ net.weights[i - 1]
     return q_bar
 
 

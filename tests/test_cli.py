@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamjepa import certify, diagnostics, trainer
+from hamjepa import certify, cli, diagnostics, trainer
 from hamjepa.cli import main
 
 
@@ -456,3 +457,81 @@ def test_env_seed_negative_exit_2(tmp_path, monkeypatch, capsys, command):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "HAMJEPA_SEED" in err and "Traceback" not in err
+
+
+# --- process set-up -----------------------------------------------------------
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None); records mallopt calls in ``log``."""
+
+    def __init__(self, log, has_mallopt=True):
+        if has_mallopt:
+
+            def mallopt(param, value):
+                log.append(("mallopt", param, value))
+                return 1
+
+            self.mallopt = mallopt
+
+
+def _fake_cdll(monkeypatch, log, has_mallopt=True, error=None):
+    def cdll(name):
+        assert name is None  # the symbols already loaded into the process
+        if error is not None:
+            raise error
+        return _FakeLibc(log, has_mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+
+
+def test_malloc_thresholds_are_fixed_through_mallopt(monkeypatch):
+    log = []
+    _fake_cdll(monkeypatch, log)
+    cli._fix_malloc_thresholds()
+    assert log == [("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]
+
+
+@pytest.mark.parametrize("has_mallopt, error", [(True, OSError("no libc")), (False, None)])
+def test_malloc_setup_is_a_no_op_without_mallopt(monkeypatch, has_mallopt, error):
+    log = []
+    _fake_cdll(monkeypatch, log, has_mallopt, error)
+    cli._fix_malloc_thresholds()
+    assert log == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_glibc_accepts_the_malloc_thresholds():
+    mallopt = cli.ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [cli.ctypes.c_int, cli.ctypes.c_int], cli.ctypes.c_int
+    # mallopt returns 1 when it takes a value and 0 when the value is out of range
+    assert mallopt(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES) == 1
+    assert mallopt(cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--filter", "slice_demo"],
+        ["train", "--config", "c.json"],
+        ["diagnose", "--checkpoint", "ck", "--config", "c.json", "--out", "o"],
+        ["slicedemo", "--dt", "0.3", "--horizon", "3", "--out", "o"],
+    ],
+)
+def test_main_sets_up_the_process_before_any_command(monkeypatch, argv):
+    log = []
+    _fake_cdll(monkeypatch, log)
+    monkeypatch.setattr(certify, "_one_blas_thread", lambda: log.append(("blas",)))
+
+    def command(args):
+        log.append(("command", args.command))
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", command)
+    assert main(argv) == 0
+    assert log == [
+        ("mallopt", -3, 32 * 2**20),
+        ("mallopt", -1, 64 * 2**20),
+        ("blas",),
+        ("command", argv[0]),
+    ]

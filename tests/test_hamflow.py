@@ -1,9 +1,11 @@
 import copy
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hamjepa import hamflow
 from hamjepa.geomtheory import symplectic_form
 from hamjepa.hamflow import (
     PhaseState,
@@ -432,6 +434,120 @@ def test_rollout_gradients_match_finite_differences(method):
         nm.biases[li][r] -= h
         fd = (loss(np_, st.q, st.p) - loss(nm, st.q, st.p)) / (2 * h)
         assert abs(grads.d_biases[li][r] - fd) <= 1e-4 * max(abs(fd), 1e-4)
+
+
+# Reference force kernels: the plain form that recomputes 1 - a^2 and
+# u_i = v_i (1 - a^2) wherever the reverse pass needs them and allocates a
+# new array for every adjoint.  The taped kernels must match them bit for bit.
+
+
+def _reference_eval_force(net, q2d):
+    L = len(net.weights)
+    a = q2d
+    acts = []
+    for i in range(L - 1):
+        a = np.tanh(a @ net.weights[i].T + net.biases[i])
+        acts.append(a)
+    f = ((acts[-1] if acts else q2d) @ net.weights[-1].T + net.biases[-1])[:, 0]
+    B = q2d.shape[0]
+    vs = [None] * L
+    vs[L - 1] = np.broadcast_to(net.weights[-1][0], (B, net.weights[-1].shape[1])).copy()
+    for i in range(L - 1, 0, -1):
+        u = vs[i] * (1.0 - acts[i - 1] ** 2)
+        vs[i - 1] = u @ net.weights[i - 1]
+    grad = net.alpha * q2d + net.scale * vs[0]
+    value = 0.5 * net.alpha * np.sum(q2d * q2d, axis=1) + net.scale * f
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(value))):
+        raise FloatingPointError("non-finite potential value or gradient")
+    return SimpleNamespace(q=q2d, acts=acts, vs=vs, value=value, grad=grad)
+
+
+def _reference_force_backward(net, rec, g_bar, grads):
+    L = len(net.weights)
+    q_bar = net.alpha * g_bar
+    grads.d_alpha += float(np.sum(g_bar * rec.q))
+    grads.d_scale += float(np.sum(g_bar * rec.vs[0]))
+    v_bar = net.scale * g_bar
+    a_bars = [None] * L
+    for i in range(1, L):
+        act = rec.acts[i - 1]
+        u_i = rec.vs[i] * (1.0 - act**2)
+        u_bar = v_bar @ net.weights[i - 1].T
+        grads.d_weights[i - 1] += u_i.T @ v_bar
+        v_bar = u_bar * (1.0 - act**2)
+        a_bars[i] = u_bar * rec.vs[i] * (-2.0 * act)
+    grads.d_weights[-1][0] += v_bar.sum(axis=0)
+    a_bar = np.zeros_like(rec.acts[-1]) if L > 1 else None
+    for i in range(L - 1, 0, -1):
+        act = rec.acts[i - 1]
+        total = a_bars[i] if a_bar is None else a_bars[i] + a_bar
+        z_bar = total * (1.0 - act**2)
+        prev = rec.acts[i - 2] if i >= 2 else rec.q
+        grads.d_weights[i - 1] += z_bar.T @ prev
+        grads.d_biases[i - 1] += z_bar.sum(axis=0)
+        if i >= 2:
+            a_bar = z_bar @ net.weights[i - 1]
+        else:
+            q_bar = q_bar + z_bar @ net.weights[i - 1]
+    return q_bar
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_grads(a, b):
+    return (
+        all(_same_bits(x, y) for x, y in zip(a.d_weights, b.d_weights))
+        and all(_same_bits(x, y) for x, y in zip(a.d_biases, b.d_biases))
+        and _same_bits(a.d_alpha, b.d_alpha)
+        and _same_bits(a.d_scale, b.d_scale)
+    )
+
+
+_KERNEL_CASES = [(depth, batch) for depth in (1, 2, 3) for batch in (1, 4, 256)]
+
+
+def _kernel_problem(depth, batch):
+    net = init_potential(5, np.random.default_rng(depth), hidden_dim=16, depth=depth, alpha=0.8, scale=0.7)
+    for b in net.biases:
+        b += np.random.default_rng(10 + depth).standard_normal(b.shape) * 0.3
+    rng = np.random.default_rng(100 * depth + batch)
+    return net, rng.standard_normal((batch, 5)), rng.standard_normal((batch, 5))
+
+
+@pytest.mark.parametrize("depth, batch", _KERNEL_CASES)
+def test_force_kernels_match_reference_bitwise(depth, batch):
+    net, q, g_bar = _kernel_problem(depth, batch)
+    rec = hamflow._eval_force(net, q)
+    ref = _reference_eval_force(net, q)
+    assert _same_bits(rec.value, ref.value) and _same_bits(rec.grad, ref.grad)
+    grads, ref_grads = PotentialGrads.zeros_like(net), PotentialGrads.zeros_like(net)
+    q_bar = hamflow._force_backward(net, rec, g_bar, grads)
+    ref_q_bar = _reference_force_backward(net, ref, g_bar, ref_grads)
+    assert _same_bits(q_bar, ref_q_bar)
+    assert _same_grads(grads, ref_grads)
+
+
+@pytest.mark.parametrize("method", ["leapfrog", "symplectic_euler"])
+@pytest.mark.parametrize("depth, batch", _KERNEL_CASES)
+def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, method, depth, batch):
+    net, q, p = _kernel_problem(depth, batch)
+    spec = RolloutSpec(method, 0.1, 3, 1)
+    dq_final, dp_final = np.cos(q), np.sin(p)
+
+    def run():
+        out, tape = rollout(net, PhaseState(q, p), spec, record=True)
+        return out, tape.backward(dq_final, dp_final)
+
+    out, (dq, dp, grads) = run()
+    monkeypatch.setattr(hamflow, "_eval_force", _reference_eval_force)
+    monkeypatch.setattr(hamflow, "_force_backward", _reference_force_backward)
+    ref_out, (ref_dq, ref_dp, ref_grads) = run()
+    assert _same_bits(out.q, ref_out.q) and _same_bits(out.p, ref_out.p)
+    assert _same_bits(dq, ref_dq) and _same_bits(dp, ref_dp)
+    assert _same_grads(grads, ref_grads)
 
 
 def test_param_gradients_requires_matching_tape():
