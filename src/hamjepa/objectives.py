@@ -21,7 +21,13 @@ from .hamflow import (
     RolloutSpec,
     rollout,
 )
-from .numlin import SymMatrix, cholesky_slogdet, orthonormalize_columns, sym_eig
+from .numlin import (
+    NotPositiveDefiniteError,
+    SymMatrix,
+    cholesky_factor,
+    orthonormalize_columns,
+    sym_eig,
+)
 
 VAR_FLOOR_EPS = 1e-8  # inside the square root of the per-dimension std
 
@@ -301,8 +307,10 @@ def projected_logdet_floor(
     the covariance of the centered batch pushed through a fixed orthonormal
     projection.
 
-    The covariance is ridged with ``reg.eps``; a non-positive log-det sign
-    despite the ridge indicates numerical corruption and is fatal.  The PR
+    The covariance is ridged with ``reg.eps``; a failed Cholesky
+    factorization despite the ridge indicates numerical corruption and is
+    fatal.  The log-det and the inverse in the volume gradient both come
+    from the one Cholesky factor.  The PR
     floor is ``r0_norm * k`` on the unnormalized participation ratio.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -316,10 +324,11 @@ def projected_logdet_floor(
     cov = y.T @ y / (n - 1)
     cov = 0.5 * (cov + cov.T) + reg.eps * np.eye(k)
 
-    sign, logdet = cholesky_slogdet(SymMatrix(cov))
-    if sign <= 0:
-        raise FloatingPointError("projected covariance lost definiteness despite ridge")
-    lvol = logdet / k
+    try:
+        chol = cholesky_factor(cov)
+    except NotPositiveDefiniteError as exc:
+        raise FloatingPointError("projected covariance lost definiteness despite ridge") from exc
+    lvol = float(2.0 * np.sum(np.log(np.diag(chol)))) / k
     vol_gap = max(0.0, reg.tau - lvol)
     vol_loss = vol_gap**2
 
@@ -333,8 +342,8 @@ def projected_logdet_floor(
 
     g_cov = np.zeros((k, k))
     if vol_gap > 0:
-        cov_inv = np.linalg.inv(cov)
-        g_cov += -2.0 * vol_gap / k * cov_inv
+        chol_inv = np.linalg.solve(chol, np.eye(k))
+        g_cov += -2.0 * vol_gap / k * (chol_inv.T @ chol_inv)  # cov^-1 = L^-T L^-1
 
     pr_loss = 0.0
     if reg.r0_norm is not None:

@@ -249,6 +249,39 @@ def test_logdet_floor_spike_spectrum_trips_pr_hinge():
     assert diag.pr_loss > 0.0
 
 
+@pytest.mark.parametrize(
+    "hinges",
+    [
+        {"tau": 2.0},  # the volume hinge alone
+        {"tau": 2.0, "r0_norm": 0.9, "eigmax_frac_ceiling": 0.3},  # all three
+    ],
+)
+def test_logdet_floor_gradient_matches_fd(hinges):
+    rng = RNG(31)
+    reg = RegularizerSpec(eps=1e-3, proj_dim=4, **hinges)
+    proj = orthonormalize_columns(rng.standard_normal((6, 4)), rng)
+    x = rng.standard_normal((12, 6)) * np.array([2.0, 1.0, 0.5, 0.3, 0.2, 0.1])
+    loss, diag, dx = projected_logdet_floor(x, reg, proj)
+    assert diag.vol_loss > 0.0
+    h = 1e-6
+    for r, c in [(0, 0), (3, 2), (7, 5), (11, 1)]:
+        xp, xm = x.copy(), x.copy()
+        xp[r, c] += h
+        xm[r, c] -= h
+        fd = (projected_logdet_floor(xp, reg, proj)[0] - projected_logdet_floor(xm, reg, proj)[0]) / (2 * h)
+        assert abs(dx[r, c] - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
+
+def test_logdet_floor_nonfinite_batch_is_fatal():
+    rng = RNG(32)
+    reg = RegularizerSpec(proj_dim=2)
+    proj = orthonormalize_columns(rng.standard_normal((4, 2)), rng)
+    x = rng.standard_normal((8, 4))
+    x[3, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="lost definiteness"):
+        projected_logdet_floor(x, reg, proj)
+
+
 def test_logdet_spike_family_keeps_volume_while_pr_collapses():
     # eigenvalue family (e^{k tau} eps^{-(k-1)}, eps, ..., eps)
     k, tau, eps = 4, 0.0, 1e-4
