@@ -44,10 +44,11 @@ def _fix_malloc_thresholds():
     every call depends on the process's allocation history, and an
     unrelated change can flip a whole run between a low-fault and a
     high-fault mode.  Setting either value turns the dynamic rule off, so
-    both are set: a fixed trim threshold alone still mmaps every 128 KiB
-    block.  The mmap threshold is glibc's own ceiling, and the trim
-    threshold keeps freed blocks of that size in the heap.  Where the C
-    library has no ``mallopt``, nothing changes.
+    both are set: with only the trim threshold fixed, every block of
+    128 KiB is still mmapped, and with only the mmap threshold fixed, the
+    heap is trimmed after the step's frees and faulted in again.  The mmap
+    threshold is glibc's own ceiling, and the trim threshold is twice it.
+    Where the C library has no ``mallopt``, nothing changes.
     """
     try:
         libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them

@@ -310,8 +310,8 @@ def projected_logdet_floor(
     The covariance is ridged with ``reg.eps``; a failed Cholesky
     factorization despite the ridge indicates numerical corruption and is
     fatal.  The log-det and the inverse in the volume gradient both come
-    from the one Cholesky factor.  The PR
-    floor is ``r0_norm * k`` on the unnormalized participation ratio.
+    from that one factor.  The PR floor is ``r0_norm * k`` on the
+    unnormalized participation ratio.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
