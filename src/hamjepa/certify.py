@@ -58,7 +58,6 @@ from .objectives import (
     RefreshCache,
     RegularizerSpec,
     SIGRegSpec,
-    orthonormal_projection,
     prediction_loss,
     projected_logdet_floor,
     sigreg_statistic,
@@ -146,9 +145,7 @@ def check_symplecticity(seed: int) -> CheckResult:
         d0 = int(rng.integers(2, 5))
         net = _random_potential(rng, d0)
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        spec = RolloutSpec(
-            "leapfrog", float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 6)), 1
-        )
+        spec = RolloutSpec(float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 6)), 1)
         jac = flow_jacobian_fd(net, st, spec, 1e-5)
         J = symplectic_form(d0)
         worst_sympl = max(worst_sympl, float(np.abs(jac.T @ J @ jac - J).max()))
@@ -169,8 +166,8 @@ def check_reversibility(seed: int) -> CheckResult:
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
         dt = float(rng.uniform(0.01, 0.2))
         K = int(rng.integers(1, 6))
-        fwd = rollout(net, st, RolloutSpec("leapfrog", dt, K, 1))
-        back = rollout(net, fwd, RolloutSpec("leapfrog", dt, K, -1))
+        fwd = rollout(net, st, RolloutSpec(dt, K, 1))
+        back = rollout(net, fwd, RolloutSpec(dt, K, -1))
         worst = max(
             worst,
             float(np.abs(back.q - st.q).max()),
@@ -189,9 +186,7 @@ def check_reciprocal_singular_values(seed: int) -> CheckResult:
         d0 = int(rng.integers(2, 5))
         net = _random_potential(rng, d0)
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        spec = RolloutSpec(
-            "leapfrog", float(rng.uniform(0.05, 0.2)), int(rng.integers(1, 4)), 1
-        )
+        spec = RolloutSpec(float(rng.uniform(0.05, 0.2)), int(rng.integers(1, 4)), 1)
         sv = np.sort(np.linalg.svd(flow_jacobian_fd(net, st, spec, 1e-5), compute_uv=False))
         worst = max(worst, float(np.abs(sv * sv[::-1] - 1.0).max()))
     return CheckResult(
@@ -209,7 +204,7 @@ def check_convergence_order(seed: int) -> CheckResult:
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = []
     for dt in dts:
-        out = rollout(net, st, RolloutSpec("leapfrog", dt, round(1.0 / dt), 1))
+        out = rollout(net, st, RolloutSpec(dt, round(1.0 / dt), 1))
         errs.append(float(np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     band = TOLERANCES["order_slope_band"]
@@ -310,16 +305,9 @@ def _end_to_end_gradcheck(seed: int) -> float:
     settings = trainer._build_settings(cfg)
 
     def loss_and_grads(enc2, net2):
-        caches = {
-            "q_proj": RefreshCache(
-                orthonormal_projection, 8, settings.reg_q.proj_dim, 16,
-                np.random.default_rng(seed + 3),
-            ),
-            "p_proj": RefreshCache(
-                orthonormal_projection, 8, settings.reg_p.proj_dim, 16,
-                np.random.default_rng(seed + 4),
-            ),
-        }
+        caches = trainer.projection_caches(
+            enc.out_dim // 2, settings, np.random.default_rng(seed + 3), np.random.default_rng(seed + 4)
+        )
         return hamjepa_loss_and_grads(enc2, net2, va, vb, settings, caches, 0)
 
     _, grads = loss_and_grads(enc, net)
@@ -700,13 +688,9 @@ def _default_hjepa_config(seed: int, ckpt_dir: str, epochs: int = 30, **override
 
 
 def _readout_knn(result, cfg_raw, readout="q", k=20):
-    cfg = validate_config(cfg_raw)
-    spec = synthetic_spec_from_config(cfg)
-    data_seed = np.random.SeedSequence(cfg["seed"]).spawn(7)[0]
-    va, _, labels = generate_views(spec, np.random.default_rng(data_seed))
+    va, _, labels, cut = trainer.run_views(validate_config(cfg_raw))
     state, _ = encoder_forward(result["encoder"], va)
     feats = {"q": state.q, "p": state.p, "qp": np.concatenate([state.q, state.p], axis=1)}[readout]
-    cut = (3 * len(labels)) // 4
     return knn_accuracy(feats[:cut], labels[:cut], feats[cut:], labels[cut:], k)
 
 
@@ -795,7 +779,7 @@ def check_expressivity(seed: int) -> CheckResult:
     net = init_potential(d0, np.random.default_rng(seed + 1), hidden_dim=64, depth=2, alpha=2.0, scale=2.0)
     params = named_params("pot", net.weights, net.biases)
     opt = OptimizerState(weight_decay=0.0)
-    spec = RolloutSpec("leapfrog", dt, steps, 1)
+    spec = RolloutSpec(dt, steps, 1)
     match = MatchSpec("qp", detach_target=True)
     epochs, batch = 150, 256
     sched = ScheduleSpec(
@@ -923,6 +907,54 @@ def worker_count(n_checks: int) -> int:
     return max(1, min(cpus or 1, n_checks))
 
 
+def setup_process():
+    """Set up this process for speed; results never depend on it.
+
+    Fixes glibc's malloc thresholds and caps a loaded OpenBLAS at one
+    thread.  ``cli.main`` calls it before every command, and ``run_checks``
+    calls it first and in each worker.  A library caller that runs a check
+    or a training job directly calls it once beforehand; a second call
+    changes nothing.
+    """
+    _fix_malloc_thresholds()
+    _one_blas_thread()
+
+
+# glibc's mallopt(3) parameters and the values every process runs with
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20  # glibc's ceiling for its dynamic threshold on 64-bit
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+def _fix_malloc_thresholds():
+    """Give glibc's allocator fixed mmap and trim thresholds.
+
+    glibc starts with a 128 KiB mmap threshold and raises it whenever a
+    larger mmapped block is freed, lowering the trim threshold with it.  A
+    training step's 256 x 64 float64 temporaries are exactly 128 KiB, so
+    whether they come from the heap or from a fresh, page-faulted mmap on
+    every call depends on the process's allocation history, and an
+    unrelated change can flip a whole run between a low-fault and a
+    high-fault mode.  Setting either value turns the dynamic rule off, so
+    both are set: with only the trim threshold fixed, every block of
+    128 KiB is still mmapped, and with only the mmap threshold fixed, the
+    heap is trimmed after the step's frees and faulted in again.  The mmap
+    threshold is glibc's own ceiling, and the trim threshold is twice it.
+    Where the C library has no ``mallopt``, nothing changes.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
+    except (OSError, TypeError):  # TypeError: Windows has no such handle
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 # system OpenBLAS, its 64-bit-integer build, and numpy wheels' scipy-openblas
 _OPENBLAS_SETTERS = (
     "openblas_set_num_threads",
@@ -935,14 +967,13 @@ _OPENBLAS_SETTERS = (
 def _one_blas_thread():
     """Cap a loaded OpenBLAS at one thread in this process.
 
-    ``cli.main`` calls it before every command, and ``run_checks`` passes it
-    as the pool initializer, for library callers.  The matrices here are too
-    small to gain from a split: with one thread per CPU, OpenBLAS's
-    spin-waiting helpers only burn CPU (an 8-epoch hjepa ``train`` used
-    twice the CPU time for the same result), and a forked worker keeps the
-    parent's thread count, so N workers on N CPUs would run N times as many
-    BLAS threads as there are CPUs.  The library is found in the process's
-    memory map (Linux); elsewhere, or under another BLAS, nothing changes.
+    The matrices here are too small to gain from a split: with one thread
+    per CPU, OpenBLAS's spin-waiting helpers only burn CPU (an 8-epoch
+    hjepa ``train`` used twice the CPU time for the same result), and a
+    forked worker keeps the parent's thread count, so N workers on N CPUs
+    would run N times as many BLAS threads as there are CPUs.  The library
+    is found in the process's memory map (Linux); elsewhere, or under
+    another BLAS, nothing changes.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -979,6 +1010,7 @@ def run_checks(names=None, seed: int = 42) -> list:
     Each result's ``seconds`` is timed where the check ran.  A check that
     raises stops the run with its exception.
     """
+    setup_process()
     selected = list(CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
@@ -989,5 +1021,5 @@ def run_checks(names=None, seed: int = 42) -> list:
         return [_run_one(job) for job in jobs]
     import multiprocessing  # imported here, as it would add ~5 ms to every command's start
 
-    with multiprocessing.get_context("fork").Pool(workers, _one_blas_thread) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, setup_process) as pool:
         return list(pool.imap(_run_one, jobs, chunksize=1))

@@ -11,7 +11,6 @@ exit code).  Exit codes: 0 success, 1 check failure, 2 config error,
 """
 
 import argparse
-import ctypes
 import json
 import math
 import os
@@ -26,41 +25,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
-
-# glibc's mallopt(3) parameters and the values every command runs with
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 32 * 2**20  # glibc's ceiling for its dynamic threshold on 64-bit
-TRIM_THRESHOLD_BYTES = 64 * 2**20
-
-
-def _fix_malloc_thresholds():
-    """Give glibc's allocator fixed mmap and trim thresholds.
-
-    glibc starts with a 128 KiB mmap threshold and raises it whenever a
-    larger mmapped block is freed, lowering the trim threshold with it.  A
-    training step's 256 x 64 float64 temporaries are exactly 128 KiB, so
-    whether they come from the heap or from a fresh, page-faulted mmap on
-    every call depends on the process's allocation history, and an
-    unrelated change can flip a whole run between a low-fault and a
-    high-fault mode.  Setting either value turns the dynamic rule off, so
-    both are set: with only the trim threshold fixed, every block of
-    128 KiB is still mmapped, and with only the mmap threshold fixed, the
-    heap is trimmed after the step's frees and faulted in again.  The mmap
-    threshold is glibc's own ceiling, and the trim threshold is twice it.
-    Where the C library has no ``mallopt``, nothing changes.
-    """
-    try:
-        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
-    except (OSError, TypeError):  # TypeError: Windows has no such handle
-        return
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
 
 def _env_seed(default: int) -> int:
     """The seed: HAMJEPA_SEED if set, else ``default`` (the --seed flag or
@@ -180,22 +144,19 @@ def cmd_diagnose(args) -> int:
         return EXIT_CONFIG
     try:
         enc = trainer.load_encoder(args.checkpoint)
-        spec = trainer.synthetic_spec_from_config(cfg)
-        if enc.weights[0].shape[1] != spec.obs_dim:
+        views_a, _, labels, cut = trainer.run_views(cfg)
+        if enc.weights[0].shape[1] != views_a.shape[1]:
             raise TrainingAbort(
                 f"checkpoint expects inputs of dim {enc.weights[0].shape[1]},"
-                f" config generates dim {spec.obs_dim}"
+                f" config generates dim {views_a.shape[1]}"
             )
         os.makedirs(args.out, exist_ok=True)
-        seed_seq = np.random.SeedSequence(cfg["seed"]).spawn(7)
-        views_a, _, labels = trainer.generate_views(spec, np.random.default_rng(seed_seq[0]))
         state, _ = trainer.encoder_forward(enc, views_a)
         readouts = {
             "q": state.q,
             "p": state.p,
             "qp": np.concatenate([state.q, state.p], axis=1),
         }
-        cut = (3 * len(labels)) // 4
         pair_rng = np.random.default_rng([cfg["seed"], 1])
         summary = {"seed": cfg["seed"], "n_train": int(cut), "n_test": int(len(labels) - cut)}
         for name, feats in readouts.items():
@@ -294,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # process set-up, before any command: it changes speed, never results
-    _fix_malloc_thresholds()
-    certify._one_blas_thread()
+    certify.setup_process()  # before any command: it changes speed, never results
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,5 +1,5 @@
-"""Separable Hamiltonian energy with a learnable potential, explicit
-symplectic integrators, and reverse-mode gradients through the rollout.
+"""Separable Hamiltonian energy with a learnable potential, the leapfrog
+integrator, and reverse-mode gradients through the rollout.
 
 The energy is H(q, p) = 0.5 |p|^2 + V(q) with
 V(q) = 0.5 * alpha * |q|^2 + scale * f(q), f a small tanh MLP.  The kick
@@ -68,14 +68,11 @@ class PotentialNet:
 
 @dataclass(frozen=True)
 class RolloutSpec:
-    method: str = "leapfrog"
     dt: float = 0.1
     steps: int = 1
     direction: int = 1
 
     def __post_init__(self):
-        if self.method not in ("leapfrog", "symplectic_euler"):
-            raise ValueError(f"unknown integrator {self.method!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -86,10 +83,11 @@ class RolloutSpec:
 
 @dataclass
 class PotentialGrads:
+    """Derivatives of the MLP's weights and biases, the trained parameters;
+    alpha is fixed and the residual scale follows its schedule."""
+
     d_weights: list
     d_biases: list
-    d_alpha: float = 0.0
-    d_scale: float = 0.0
 
     @classmethod
     def zeros_like(cls, net: PotentialNet) -> "PotentialGrads":
@@ -103,8 +101,6 @@ class PotentialGrads:
             a += b
         for a, b in zip(self.d_biases, other.d_biases):
             a += b
-        self.d_alpha += other.d_alpha
-        self.d_scale += other.d_scale
 
 
 def init_potential(
@@ -179,8 +175,6 @@ def _force_backward(
     contribution to q_bar and accumulates parameter derivatives of g' g_bar."""
     L = len(net.weights)
     q_bar = net.alpha * g_bar
-    grads.d_alpha += float(np.sum(g_bar * rec.q))
-    grads.d_scale += float(np.sum(g_bar * rec.vs[0]))
     v_bar = net.scale * g_bar
 
     a_bars = [None] * L  # slot i holds the adjoint of acts[i-1]
@@ -238,15 +232,14 @@ def hamiltonian_energy(net: PotentialNet, state: PhaseState):
 
 def leapfrog_step(net: PotentialNet, state: PhaseState, dt: float) -> PhaseState:
     """One half-kick / drift / half-kick update with step dt (sign allowed)."""
-    return rollout(net, state, RolloutSpec("leapfrog", abs(dt), 1, 1 if dt > 0 else -1))
+    return rollout(net, state, RolloutSpec(abs(dt), 1, 1 if dt > 0 else -1))
 
 
 class RolloutTape:
     """Stored force records of a recorded rollout, for the reverse pass."""
 
-    def __init__(self, net: PotentialNet, method: str, dt_eff: float, records: list):
+    def __init__(self, net: PotentialNet, dt_eff: float, records: list):
         self.net = net
-        self.method = method
         self.dt_eff = dt_eff
         self.records = records
 
@@ -257,33 +250,22 @@ class RolloutTape:
         dp, _ = _as_batch(dp_final)
         grads = PotentialGrads.zeros_like(self.net)
         h = self.dt_eff
-        if self.method == "leapfrog":
-            K = len(self.records) - 1
-            g_bars = [np.zeros_like(r.grad) for r in self.records]
-            q_bar, p_bar = dq.copy(), dp.copy()
-            for k in range(K - 1, -1, -1):
-                p_half_bar = p_bar
-                g_bars[k + 1] += -0.5 * h * p_bar
-                q_bar = q_bar + _force_backward(
-                    self.net, self.records[k + 1], g_bars[k + 1], grads
-                )
-                p_half_bar = p_half_bar + h * q_bar
-                p_bar = p_half_bar
-                g_bars[k] += -0.5 * h * p_half_bar
-            q_bar = q_bar + _force_backward(self.net, self.records[0], g_bars[0], grads)
-            return q_bar, p_bar, grads
-
-        # symplectic Euler: p1 = p - h g(q); q1 = q + h p1
+        K = len(self.records) - 1
+        g_bars = [np.zeros_like(r.grad) for r in self.records]
         q_bar, p_bar = dq.copy(), dp.copy()
-        for rec in reversed(self.records):
-            p1_bar = p_bar + h * q_bar
-            q_bar = q_bar + _force_backward(self.net, rec, -h * p1_bar, grads)
-            p_bar = p1_bar
+        for k in range(K - 1, -1, -1):
+            p_half_bar = p_bar
+            g_bars[k + 1] += -0.5 * h * p_bar
+            q_bar = q_bar + _force_backward(self.net, self.records[k + 1], g_bars[k + 1], grads)
+            p_half_bar = p_half_bar + h * q_bar
+            p_bar = p_half_bar
+            g_bars[k] += -0.5 * h * p_half_bar
+        q_bar = q_bar + _force_backward(self.net, self.records[0], g_bars[0], grads)
         return q_bar, p_bar, grads
 
 
 def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: bool = False):
-    """K composed integrator steps with effective step direction * dt.
+    """K composed leapfrog steps with effective step direction * dt.
 
     With ``record=True`` also returns the tape for the unrolled reverse pass.
     """
@@ -304,38 +286,24 @@ def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: boo
     else:
         result = PhaseState(q, p)
     if record:
-        return result, RolloutTape(net, spec.method, h, records)
+        return result, RolloutTape(net, h, records)
     return result
 
 
 def _rollout_loop(net, q2d, p2d, h, spec, records):
-    if spec.method == "leapfrog":
-        rec = _eval_force(net, q2d)
+    records.append(_eval_force(net, q2d))
+    q, p = q2d, p2d
+    for k in range(spec.steps):
+        p_half = p - 0.5 * h * records[-1].grad
+        q = q + h * p_half
+        try:
+            rec = _eval_force(net, q)  # cached for the next step's first kick
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"rollout step {k}: {exc}") from exc
         records.append(rec)
-        q, p = q2d, p2d
-        for k in range(spec.steps):
-            p_half = p - 0.5 * h * records[-1].grad
-            q = q + h * p_half
-            try:
-                rec = _eval_force(net, q)  # cached for the next step's first kick
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"rollout step {k}: {exc}") from exc
-            records.append(rec)
-            p = p_half - 0.5 * h * rec.grad
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                raise FloatingPointError(f"non-finite state at rollout step {k}")
-    else:
-        q, p = q2d, p2d
-        for k in range(spec.steps):
-            try:
-                rec = _eval_force(net, q)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"rollout step {k}: {exc}") from exc
-            records.append(rec)
-            p = p - h * rec.grad
-            q = q + h * p
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                raise FloatingPointError(f"non-finite state at rollout step {k}")
+        p = p_half - 0.5 * h * rec.grad
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise FloatingPointError(f"non-finite state at rollout step {k}")
     return q, p
 
 

@@ -207,15 +207,11 @@ def prediction_loss(
             fwd, fwd, 0.0, PhaseState(da_q, da_p), PhaseState(db_q, db_p), grads
         )
 
-    back_spec = RolloutSpec(spec.method, spec.dt, spec.steps, -spec.direction)
+    back_spec = RolloutSpec(spec.dt, spec.steps, -spec.direction)
     bwd, db_q2, db_p2, da_q2, da_p2, grads2 = _direction_loss(net, s_b, s_a, back_spec, match)
     for g in (grads, grads2):
-        for w in g.d_weights:
-            w *= 0.5
-        for b in g.d_biases:
-            b *= 0.5
-        g.d_alpha *= 0.5
-        g.d_scale *= 0.5
+        for a in g.d_weights + g.d_biases:
+            a *= 0.5
     grads.add_(grads2)
     return PredictionLossResult(
         0.5 * (fwd + bwd),

@@ -369,9 +369,9 @@ _SCHEMA = {
     "hjepa": {
         **_COMMON_BLOCKS,
         "hjepa": {
-            "method": _Key("leapfrog", "choice", choices=("leapfrog", "symplectic_euler")),
             "steps": _Key(2, "int", 1),
-            "dt": _Key(0.1, "number", 0, open_low=True),
+            # at init V = |q|^2 / 2, where leapfrog is stable only for dt < 2
+            "dt": _Key(0.1, "number", 0, 2.0, open_low=True),
             "hidden_dim": _Key(64, "int", 1),
             "depth": _Key(2, "int", 1),
             "residual_scale": _Key(0.5, "number", 0),
@@ -711,7 +711,7 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
         )
 
     return HamjepaStepSettings(
-        rollout=RolloutSpec(hj["method"], hj["dt"], hj["steps"], 1),
+        rollout=RolloutSpec(hj["dt"], hj["steps"], 1),
         match=MatchSpec(
             mode=loss["match"],
             p_weight=loss["p_weight"],
@@ -727,6 +727,34 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
             "mean": cfg["train"]["lambda_mean"],
         },
     )
+
+
+def projection_caches(d0: int, settings: HamjepaStepSettings, q_rng, p_rng) -> dict:
+    """The projection caches of the q and p log-det floors, keyed as
+    ``hamjepa_loss_and_grads`` reads them."""
+    return {
+        name: RefreshCache(orthonormal_projection, d0, reg.proj_dim, reg.refresh_interval, rng)
+        for name, reg, rng in (("q_proj", settings.reg_q, q_rng), ("p_proj", settings.reg_p, p_rng))
+    }
+
+
+# A run's random streams: SeedSequence(seed) spawns one child per name, in this order.
+SEED_STREAMS = ("data", "encoder", "potential", "q_proj", "p_proj", "slices", "shuffle")
+
+
+def seed_streams(seed: int) -> dict:
+    """One generator per name of SEED_STREAMS."""
+    children = np.random.SeedSequence(seed).spawn(len(SEED_STREAMS))
+    return {name: np.random.default_rng(child) for name, child in zip(SEED_STREAMS, children)}
+
+
+def run_views(cfg: dict) -> tuple:
+    """(views_a, views_b, labels, cut) of a validated config's run: the data
+    as ``train`` draws it, and the cut that frozen-feature evaluation uses,
+    fitting on the first ``cut`` samples and testing on the rest."""
+    rng = seed_streams(cfg["seed"])["data"]
+    views_a, views_b, labels = generate_views(synthetic_spec_from_config(cfg), rng)
+    return views_a, views_b, labels, (3 * len(labels)) // 4
 
 
 def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:
@@ -752,16 +780,12 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     cfg = validate_config(cfg)
     out_dir = out_dir or cfg["train"]["ckpt_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    seed_seq = np.random.SeedSequence(cfg["seed"])
-    (data_seed, enc_seed, pot_seed, qproj_seed, pproj_seed, slice_seed, shuffle_seed) = (
-        seed_seq.spawn(7)
-    )
-
-    spec = synthetic_spec_from_config(cfg)
-    views_a, views_b, labels = generate_views(spec, np.random.default_rng(data_seed))
+    rngs = seed_streams(cfg["seed"])
+    views_a, views_b, labels, _ = run_views(cfg)
+    n, obs_dim = views_a.shape
 
     model = cfg["model"]
-    enc = init_encoder(spec.obs_dim, model["hidden_dims"], model["embed_dim"], np.random.default_rng(enc_seed))
+    enc = init_encoder(obs_dim, model["hidden_dims"], model["embed_dim"], rngs["encoder"])
     d0 = model["embed_dim"] // 2
 
     mode = cfg["mode"]
@@ -787,23 +811,14 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
         )
         net = init_potential(
             d0,
-            np.random.default_rng(pot_seed),
+            rngs["potential"],
             hidden_dim=hj["hidden_dim"],
             depth=hj["depth"],
             scale=0.0,  # ramped by the residual schedule
         )
         params.update(named_params("pot", net.weights, net.biases))
         settings = _build_settings(cfg)
-        caches = {
-            "q_proj": RefreshCache(
-                orthonormal_projection, d0, settings.reg_q.proj_dim,
-                settings.reg_q.refresh_interval, np.random.default_rng(qproj_seed),
-            ),
-            "p_proj": RefreshCache(
-                orthonormal_projection, d0, settings.reg_p.proj_dim,
-                settings.reg_p.refresh_interval, np.random.default_rng(pproj_seed),
-            ),
-        }
+        caches = projection_caches(d0, settings, rngs["q_proj"], rngs["p_proj"])
 
         def run_step(epoch, idx, lr, frac, step):
             net.scale = residual_scale_at(schedule, epoch)
@@ -821,8 +836,7 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
         knots, weights = default_sigreg_knots(reg["n_knots"], reg["knot_max"])
         sigreg_spec = SIGRegSpec(knots=knots, weights=weights)
         slice_cache = RefreshCache(
-            unit_slices, model["embed_dim"], reg["n_slices"], reg["refresh_interval"],
-            np.random.default_rng(slice_seed),
+            unit_slices, model["embed_dim"], reg["n_slices"], reg["refresh_interval"], rngs["slices"]
         )
 
         def run_step(epoch, idx, lr, frac, step):
@@ -835,15 +849,14 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     meta = {
         "mode": mode,
         "config": cfg,
-        "obs_dim": spec.obs_dim,
+        "obs_dim": obs_dim,
         "embed_dim": model["embed_dim"],
     }
     save_checkpoint(os.path.join(out_dir, "checkpoint_init"), enc, net, opt, meta)
 
-    n = spec.n_samples
     batch = cfg["data"]["batch_size"]
     steps_per_epoch = n // batch if cfg["data"]["drop_last"] else math.ceil(n / batch)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
+    shuffle_rng = rngs["shuffle"]
     epochs = train_cfg["epochs"]
     global_step = 0
     last_report = None

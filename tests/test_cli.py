@@ -161,6 +161,8 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
         ),
         pytest.param({"hjepa": {"steps": 0}}, "hjepa.steps", id="steps-0"),
         pytest.param({"hjepa": {"dt": -0.1}}, "hjepa.dt", id="dt-neg"),
+        # leapfrog on the initial V = |q|^2 / 2 is unstable beyond dt = 2
+        pytest.param({"hjepa": {"dt": 1e6}}, "hjepa.dt", id="dt-1e6"),
         pytest.param({"seed": "x"}, "seed", id="seed-str"),
         pytest.param({"seed": -1}, "seed", id="seed-neg"),
         pytest.param({"data": {"batch_size": 0}}, "data.batch_size", id="batch_size-0"),
@@ -252,6 +254,8 @@ def test_train_bad_train_value_exit_2(tmp_path, capsys, key, value):
                      id="deleted-num_global_views"),
         pytest.param({"regularizer": {"type": "sigreg"}}, "unknown key regularizer.type",
                      id="deleted-regularizer-type"),
+        pytest.param({"hjepa": {"method": "leapfrog"}}, "unknown key hjepa.method",
+                     id="deleted-method"),
     ],
 )
 def test_train_bad_value_exit_2(tmp_path, capsys, payload, path):
@@ -270,7 +274,7 @@ SCHEMA_KEYS = [
 ]
 
 
-# 600 examples exhaust the (key, value) pairs: 80 keys times 7 values
+# 600 examples exhaust the (key, value) pairs: 79 keys times 7 values
 @settings(max_examples=600, deadline=None, database=None, derandomize=True)
 @given(st.sampled_from(SCHEMA_KEYS), st.sampled_from([0, -1, 1e300, "x", [], None, True]))
 def test_train_mutated_config_exits_cleanly(target, value):
@@ -460,6 +464,7 @@ def test_env_seed_negative_exit_2(tmp_path, monkeypatch, capsys, command):
 
 
 # --- process set-up -----------------------------------------------------------
+# certify.setup_process, which main calls before every command
 
 
 class _FakeLibc:
@@ -482,13 +487,13 @@ def _fake_cdll(monkeypatch, log, has_mallopt=True, error=None):
             raise error
         return _FakeLibc(log, has_mallopt)
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(certify.ctypes, "CDLL", cdll)
 
 
 def test_malloc_thresholds_are_fixed_through_mallopt(monkeypatch):
     log = []
     _fake_cdll(monkeypatch, log)
-    cli._fix_malloc_thresholds()
+    certify._fix_malloc_thresholds()
     assert log == [("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]
 
 
@@ -496,17 +501,18 @@ def test_malloc_thresholds_are_fixed_through_mallopt(monkeypatch):
 def test_malloc_setup_is_a_no_op_without_mallopt(monkeypatch, has_mallopt, error):
     log = []
     _fake_cdll(monkeypatch, log, has_mallopt, error)
-    cli._fix_malloc_thresholds()
+    certify._fix_malloc_thresholds()
     assert log == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
 def test_glibc_accepts_the_malloc_thresholds():
-    mallopt = cli.ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = [cli.ctypes.c_int, cli.ctypes.c_int], cli.ctypes.c_int
+    ctypes = certify.ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     # mallopt returns 1 when it takes a value and 0 when the value is out of range
-    assert mallopt(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES) == 1
-    assert mallopt(cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES) == 1
+    assert mallopt(certify.M_MMAP_THRESHOLD, certify.MMAP_THRESHOLD_BYTES) == 1
+    assert mallopt(certify.M_TRIM_THRESHOLD, certify.TRIM_THRESHOLD_BYTES) == 1
 
 
 @pytest.mark.parametrize(
@@ -535,3 +541,19 @@ def test_main_sets_up_the_process_before_any_command(monkeypatch, argv):
         ("blas",),
         ("command", argv[0]),
     ]
+
+
+def test_setup_process_twice_is_harmless(tmp_path):
+    # a second call, as run_checks makes under main, repeats the same settings
+    certify.setup_process()
+    certify.setup_process()
+    assert main(["verify", "--filter", "convergence_order", "--out", str(tmp_path)]) == 0
+
+
+def test_run_checks_sets_up_the_process(monkeypatch):
+    log = []
+    monkeypatch.setattr(certify, "setup_process", lambda: log.append("setup"))
+    monkeypatch.setattr(certify, "worker_count", lambda n: 1)
+    monkeypatch.setitem(certify.CHECKS, "stub", lambda seed: certify.CheckResult("stub", True, {}))
+    assert [r.name for r in certify.run_checks(["stub"])] == ["stub"]
+    assert log == ["setup"]

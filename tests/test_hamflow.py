@@ -125,30 +125,6 @@ def test_leapfrog_step_inverts_with_negated_dt():
     assert np.abs(back.p - st.p).max() <= 1e-12
 
 
-def symplectic_euler_step(net, state, dt):
-    return rollout(net, state, RolloutSpec("symplectic_euler", dt, 1, 1))
-
-
-def test_symplectic_euler_hand_arithmetic():
-    net = quadratic_net(1)
-    out = symplectic_euler_step(net, PhaseState(np.array([1.0]), np.array([0.0])), 0.1)
-    assert abs(out.p[0] - (-0.1)) < 1e-15
-    assert abs(out.q[0] - 0.99) < 1e-15
-
-
-def test_symplectic_euler_free_particle():
-    net = free_net(1)
-    out = symplectic_euler_step(net, PhaseState(np.array([2.0]), np.array([0.5])), 0.2)
-    assert abs(out.q[0] - 2.1) < 1e-15
-
-
-def test_symplectic_euler_unit_jacobian():
-    net = init_potential(2, np.random.default_rng(3), hidden_dim=8, depth=2, alpha=0.6, scale=0.5)
-    st = PhaseState(np.array([0.4, -0.2]), np.array([0.1, 0.3]))
-    jac = flow_jacobian_fd(net, st, RolloutSpec("symplectic_euler", 0.1, 1, 1), 1e-5)
-    assert abs(np.linalg.det(jac) - 1.0) <= 1e-5
-
-
 # --- rollout -----------------------------------------------------------------
 
 
@@ -163,7 +139,7 @@ def test_rollout_single_step_reduces_to_step():
             q_new = q + dt * p_half
             p_new = p_half - 0.5 * dt * potential_eval(net, q_new)[1]
             one = leapfrog_step(net, PhaseState(q, p), dt)
-            spec = RolloutSpec("leapfrog", abs(dt), 1, 1 if dt > 0 else -1)
+            spec = RolloutSpec(abs(dt), 1, 1 if dt > 0 else -1)
             out = rollout(net, PhaseState(q, p), spec)
             for state in (one, out):
                 assert np.array_equal(state.q, q_new)
@@ -174,8 +150,8 @@ def test_rollout_reversibility():
     net = init_potential(3, np.random.default_rng(11), hidden_dim=16, depth=2, alpha=1.0, scale=0.7)
     rng = np.random.default_rng(12)
     st = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
-    fwd = rollout(net, st, RolloutSpec("leapfrog", 0.1, 2, 1))
-    back = rollout(net, fwd, RolloutSpec("leapfrog", 0.1, 2, -1))
+    fwd = rollout(net, st, RolloutSpec(0.1, 2, 1))
+    back = rollout(net, fwd, RolloutSpec(0.1, 2, -1))
     assert np.abs(back.q - st.q).max() <= 1e-11
     assert np.abs(back.p - st.p).max() <= 1e-11
 
@@ -183,10 +159,10 @@ def test_rollout_reversibility():
 def test_rollout_harmonic_oscillator_accuracy():
     net = quadratic_net(1)
     st = PhaseState(np.array([1.0]), np.array([0.0]))
-    out = rollout(net, st, RolloutSpec("leapfrog", 0.01, 100, 1))
+    out = rollout(net, st, RolloutSpec(0.01, 100, 1))
     err = np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0))
     assert err <= 2.0 * 0.01**2  # within O(dt^2) of the closed form
-    out_half = rollout(net, st, RolloutSpec("leapfrog", 0.005, 200, 1))
+    out_half = rollout(net, st, RolloutSpec(0.005, 200, 1))
     err_half = np.hypot(out_half.q[0] - np.cos(1.0), out_half.p[0] + np.sin(1.0))
     assert 3.0 <= err / err_half <= 5.0
 
@@ -197,7 +173,7 @@ def test_rollout_convergence_order_two():
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = []
     for dt in dts:
-        out = rollout(net, st, RolloutSpec("leapfrog", dt, round(1.0 / dt), 1))
+        out = rollout(net, st, RolloutSpec(dt, round(1.0 / dt), 1))
         errs.append(np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.1
@@ -208,7 +184,7 @@ def test_rollout_nonfinite_reports_step():
     net = quadratic_net(1, alpha=1e8)
     st = PhaseState(np.array([1.0]), np.array([0.0]))
     with pytest.raises(FloatingPointError, match="step"):
-        rollout(net, st, RolloutSpec("leapfrog", 10.0, 50, 1))
+        rollout(net, st, RolloutSpec(10.0, 50, 1))
 
 
 def _potential3():
@@ -232,31 +208,29 @@ def _step_in_message(exc):
     return None if match is None else int(match.group(1))
 
 
-# (method, poisoned parameter, value) -> the step named in the message;
-# None: raised by leapfrog's first force evaluation, which has no step
+# a poisoned parameter raises in the first force evaluation, before any
+# step, so the message names no step
 @pytest.mark.parametrize(
-    "method, where, value, step",
+    "where, value",
     [
-        (method, where, value, None if method == "leapfrog" else 0)
-        for method in ("leapfrog", "symplectic_euler")
+        (where, value)
         for where in (("w", 0), ("w", 1), ("w", 2), ("b", 0), ("b", 2))
         for value in (np.nan, np.inf)
         if where != ("b", 0) or not np.isinf(value)
     ],
 )
-def test_rollout_nonfinite_weights_raise_at_pinned_step(method, where, value, step):
+def test_rollout_nonfinite_weights_raise_at_pinned_step(where, value):
     net = _poisoned_net(where, value)
     with pytest.raises(FloatingPointError) as info:
-        rollout(net, _FINITE_STATE, RolloutSpec(method, 0.1, 3, 1), record=True)
-    assert _step_in_message(info.value) == step
+        rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3, 1), record=True)
+    assert _step_in_message(info.value) is None
 
 
-@pytest.mark.parametrize("method", ["leapfrog", "symplectic_euler"])
-def test_rollout_saturating_inf_bias_stays_finite(method):
+def test_rollout_saturating_inf_bias_stays_finite():
     # tanh(+inf) = 1 and its derivative is 0, so an infinite first-layer
     # bias leaves every value and gradient finite
     net = _poisoned_net(("b", 0), np.inf)
-    out, tape = rollout(net, _FINITE_STATE, RolloutSpec(method, 0.1, 3, 1), record=True)
+    out, tape = rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3, 1), record=True)
     assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
     dq, dp, _ = tape.backward(np.ones((4, 3)), np.ones((4, 3)))
     assert np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
@@ -281,17 +255,15 @@ def test_potential_eval_nonfinite_input_raises(value):
 
 
 @pytest.mark.parametrize(
-    "method, state, dt, steps, step",
+    "state, dt, steps, step",
     [
         # an unstable step size grows the state until the force overflows
-        ("leapfrog", "stiff", 10.0, 50, 15),
-        ("symplectic_euler", "stiff", 10.0, 50, 16),
+        ("stiff", 10.0, 50, 15),
         # a momentum near the float64 limit overflows the first drift
-        ("leapfrog", "fast", 10.0, 5, 0),
-        ("symplectic_euler", "fast", 10.0, 5, 0),
+        ("fast", 10.0, 5, 0),
     ],
 )
-def test_rollout_overflow_names_the_step(method, state, dt, steps, step):
+def test_rollout_overflow_names_the_step(state, dt, steps, step):
     if state == "stiff":
         net = quadratic_net(1, alpha=1e8)
         st = PhaseState(np.array([1.0]), np.array([0.0]))
@@ -299,19 +271,19 @@ def test_rollout_overflow_names_the_step(method, state, dt, steps, step):
         net = _potential3()
         st = PhaseState(_FINITE_STATE.q, _FINITE_STATE.p * 1e307)
     with pytest.raises(FloatingPointError) as info:
-        rollout(net, st, RolloutSpec(method, dt, steps, 1))
+        rollout(net, st, RolloutSpec(dt, steps, 1))
     assert _step_in_message(info.value) == step
 
 
 def test_rollout_spec_validation():
     with pytest.raises(ValueError):
-        RolloutSpec("rk4", 0.1, 1, 1)
+        RolloutSpec(0.0, 1, 1)
     with pytest.raises(ValueError):
-        RolloutSpec("leapfrog", -0.1, 1, 1)
+        RolloutSpec(-0.1, 1, 1)
     with pytest.raises(ValueError):
-        RolloutSpec("leapfrog", 0.1, 0, 1)
+        RolloutSpec(0.1, 0, 1)
     with pytest.raises(ValueError):
-        RolloutSpec("leapfrog", 0.1, 1, 2)
+        RolloutSpec(0.1, 1, 2)
 
 
 # --- FD Jacobian and symplecticity -------------------------------------------
@@ -321,7 +293,7 @@ def test_jacobian_free_particle_is_shear():
     net = free_net(2)
     st = PhaseState(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     dt = 0.13
-    jac = flow_jacobian_fd(net, st, RolloutSpec("leapfrog", dt, 1, 1), 1e-5)
+    jac = flow_jacobian_fd(net, st, RolloutSpec(dt, 1, 1), 1e-5)
     expect = np.block(
         [[np.eye(2), dt * np.eye(2)], [np.zeros((2, 2)), np.eye(2)]]
     )
@@ -337,7 +309,7 @@ def test_jacobian_symplectic_and_volume_preserving():
             alpha=float(rng.uniform(0.2, 1.5)), scale=float(rng.uniform(0, 1)),
         )
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        spec = RolloutSpec("leapfrog", float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 4)), 1)
+        spec = RolloutSpec(float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 4)), 1)
         jac = flow_jacobian_fd(net, st, spec, 1e-5)
         J = symplectic_form(d0)
         assert np.abs(jac.T @ J @ jac - J).max() <= 1e-5
@@ -350,7 +322,7 @@ def test_reciprocal_singular_values():
         d0 = int(rng.integers(2, 4))
         net = init_potential(d0, rng, hidden_dim=16, depth=2, alpha=1.0, scale=0.8)
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        jac = flow_jacobian_fd(net, st, RolloutSpec("leapfrog", 0.15, 3, 1), 1e-5)
+        jac = flow_jacobian_fd(net, st, RolloutSpec(0.15, 3, 1), 1e-5)
         sv = np.sort(np.linalg.svd(jac, compute_uv=False))
         assert np.abs(sv * sv[::-1] - 1.0).max() <= 1e-4
 
@@ -372,33 +344,21 @@ def test_shadow_energy_bounded_short_run():
 def test_zero_scale_zeroes_residual_gradients_of_state_loss():
     net = init_potential(2, np.random.default_rng(15), hidden_dim=8, depth=2, alpha=1.0, scale=0.0)
     st = PhaseState(np.array([0.5, -0.5]), np.array([0.2, 0.1]))
-    out, tape = rollout(net, st, RolloutSpec("leapfrog", 0.1, 2, 1), record=True)
-    grads = tape.backward(np.ones(2), np.zeros(2))[2]
+    out, tape = rollout(net, st, RolloutSpec(0.1, 2, 1), record=True)
+    dq, _, grads = tape.backward(np.ones(2), np.zeros(2))
     for dw in grads.d_weights:
         assert np.allclose(dw, 0.0)
     for db in grads.d_biases:
         assert np.allclose(db, 0.0)
-    assert grads.d_alpha != 0.0  # the quadratic base still matters
+    assert not np.allclose(dq, np.ones(2))  # the quadratic base still acts on the state
 
 
-def test_alpha_gradient_hand_derivative_one_step():
-    # quadratic-only V, K = 1: q1 = q0 (1 - alpha dt^2 / 2) + dt p0, so the
-    # derivative of q1 w.r.t. alpha is -dt^2 q0 / 2
-    q0, p0, dt, alpha = 1.3, 0.7, 0.1, 0.9
-    net = quadratic_net(1, alpha=alpha)
-    st = PhaseState(np.array([q0]), np.array([p0]))
-    _, tape = rollout(net, st, RolloutSpec("leapfrog", dt, 1, 1), record=True)
-    grads = tape.backward(np.array([1.0]), np.array([0.0]))[2]
-    assert abs(grads.d_alpha - (-0.5 * dt * dt * q0)) <= 1e-14
-
-
-@pytest.mark.parametrize("method", ["leapfrog", "symplectic_euler"])
-def test_rollout_gradients_match_finite_differences(method):
+def test_rollout_gradients_match_finite_differences():
     net = init_potential(3, np.random.default_rng(4), hidden_dim=8, depth=2, alpha=0.7, scale=0.9)
     rng = np.random.default_rng(5)
     st = PhaseState(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
     tgt = rng.standard_normal((2, 3))
-    spec = RolloutSpec(method, 0.08, 2, 1)
+    spec = RolloutSpec(0.08, 2, 1)
 
     def loss(net2, q0, p0):
         out = rollout(net2, PhaseState(q0, p0), spec)
@@ -465,8 +425,6 @@ def _reference_eval_force(net, q2d):
 def _reference_force_backward(net, rec, g_bar, grads):
     L = len(net.weights)
     q_bar = net.alpha * g_bar
-    grads.d_alpha += float(np.sum(g_bar * rec.q))
-    grads.d_scale += float(np.sum(g_bar * rec.vs[0]))
     v_bar = net.scale * g_bar
     a_bars = [None] * L
     for i in range(1, L):
@@ -498,12 +456,8 @@ def _same_bits(a, b):
 
 
 def _same_grads(a, b):
-    return (
-        all(_same_bits(x, y) for x, y in zip(a.d_weights, b.d_weights))
-        and all(_same_bits(x, y) for x, y in zip(a.d_biases, b.d_biases))
-        and _same_bits(a.d_alpha, b.d_alpha)
-        and _same_bits(a.d_scale, b.d_scale)
-    )
+    pairs = zip(a.d_weights + a.d_biases, b.d_weights + b.d_biases)
+    return all(_same_bits(x, y) for x, y in pairs)
 
 
 _KERNEL_CASES = [(depth, batch) for depth in (1, 2, 3) for batch in (1, 4, 256)]
@@ -530,11 +484,10 @@ def test_force_kernels_match_reference_bitwise(depth, batch):
     assert _same_grads(grads, ref_grads)
 
 
-@pytest.mark.parametrize("method", ["leapfrog", "symplectic_euler"])
 @pytest.mark.parametrize("depth, batch", _KERNEL_CASES)
-def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, method, depth, batch):
+def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, depth, batch):
     net, q, p = _kernel_problem(depth, batch)
-    spec = RolloutSpec(method, 0.1, 3, 1)
+    spec = RolloutSpec(0.1, 3, 1)
     dq_final, dp_final = np.cos(q), np.sin(p)
 
     def run():
@@ -553,7 +506,7 @@ def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, method, dep
 def test_param_gradients_requires_matching_tape():
     net = init_potential(2, np.random.default_rng(16), hidden_dim=8, depth=1, alpha=1.0, scale=0.5)
     st = PhaseState(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-    _, tape = rollout(net, st, RolloutSpec("leapfrog", 0.1, 1, 1), record=True)
+    _, tape = rollout(net, st, RolloutSpec(0.1, 1, 1), record=True)
     with pytest.raises(ValueError):
         tape.backward(np.ones(3), np.ones(3))
 

@@ -1,12 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamjepa.numlin import SPDOperator
 from hamjepa.hamflow import init_potential
-from hamjepa.objectives import RefreshCache, orthonormal_projection
 from hamjepa.trainer import (
     ConfigError,
     Encoder,
@@ -26,7 +27,9 @@ from hamjepa.trainer import (
     load_encoder,
     lr_at,
     named_params,
+    projection_caches,
     residual_scale_at,
+    run_views,
     save_checkpoint,
     train,
     validate_config,
@@ -168,10 +171,7 @@ def test_step_learning_rates_are_grouped():
     rng = np.random.default_rng(6)
     enc = init_encoder(12, [8], 16, rng)
     net = init_potential(8, rng, hidden_dim=8, depth=2, alpha=1.0, scale=0.5)
-    caches = {
-        "q_proj": RefreshCache(orthonormal_projection, 8, settings.reg_q.proj_dim, 16, np.random.default_rng(0)),
-        "p_proj": RefreshCache(orthonormal_projection, 8, settings.reg_p.proj_dim, 16, np.random.default_rng(1)),
-    }
+    caches = projection_caches(8, settings, np.random.default_rng(0), np.random.default_rng(1))
     va, vb = rng.standard_normal((8, 12)), rng.standard_normal((8, 12))
     params = named_params("enc", enc.weights, enc.biases)
     params.update(named_params("pot", net.weights, net.biases))
@@ -289,6 +289,26 @@ def tiny_train_config(ckpt, epochs=2, mode_hjepa=True, **train_kw):
     if mode_hjepa:
         cfg["hjepa"] = {}
     return cfg
+
+
+def test_readme_minimal_config_trains(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    training = readme.split("## Training", 1)[1].split("\n## ", 1)[0]
+    raw = json.loads(re.search(r"```json\n(.*?)```", training, re.S).group(1))
+    assert validate_config(raw)["mode"] == "hjepa"
+    raw["data"].update(n_samples=64, batch_size=16)
+    raw["train"].update(epochs=1, warmup_epochs=1)
+    result = train(raw, out_dir=str(tmp_path / "run"))
+    assert result["steps"] == 4 and np.isfinite(result["final"]["total"])
+
+
+def test_run_views_are_the_training_data(tmp_path):
+    cfg = tiny_train_config(str(tmp_path / "run"), epochs=0)
+    result = train(cfg)
+    views_a, views_b, labels, cut = run_views(validate_config(cfg))
+    assert np.array_equal(labels, result["labels"])
+    assert views_a.shape == views_b.shape == (256, result["encoder"].weights[0].shape[1])
+    assert cut == 192
 
 
 def test_train_zero_epochs_initial_checkpoint_only(tmp_path):
