@@ -694,18 +694,16 @@ def _readout_knn(result, cfg_raw, readout="q", k=20):
     return knn_accuracy(feats[:cut], labels[:cut], feats[cut:], labels[cut:], k)
 
 
-def check_anti_collapse_training(seed: int, workdir: str | None = None) -> CheckResult:
+def check_anti_collapse_training(seed: int) -> CheckResult:
     """The default predictive run keeps the projected log-volume above its
     floor after warmup, while the ablation (no anti-collapse weights, live
     targets) collapses within the step budget."""
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         cfg = _default_hjepa_config(seed, os.path.join(tmp, "default"))
         result = train(cfg, out_dir=os.path.join(tmp, "default"))
-        tau = validate_config(cfg)["regularizer"]["q_logdet_floor"]
-        warmup = max(
-            validate_config(cfg)["train"]["warmup_epochs"],
-            validate_config(cfg)["hjepa"]["residual_scale_warmup_epochs"],
-        )
+        valid = validate_config(cfg)
+        tau = valid["regularizer"]["q_logdet_floor"]
+        warmup = max(valid["train"]["warmup_epochs"], valid["hjepa"]["residual_scale_warmup_epochs"])
         min_lvol = np.inf
         for line in open(result["metrics_path"]):
             rec = json.loads(line)
@@ -741,10 +739,10 @@ def check_anti_collapse_training(seed: int, workdir: str | None = None) -> Check
     )
 
 
-def check_headline_gap(seed: int, workdir: str | None = None) -> CheckResult:
+def check_headline_gap(seed: int) -> CheckResult:
     """The phase-space predictive run beats the mean-of-views baseline on
     the content-readout neighborhood accuracy by the frozen margin."""
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         cfg_h = _default_hjepa_config(seed, os.path.join(tmp, "h"))
         res_h = train(cfg_h, out_dir=os.path.join(tmp, "h"))
         knn_h = _readout_knn(res_h, cfg_h)
@@ -833,7 +831,7 @@ def check_slice_demo(seed: int) -> CheckResult:
     )
 
 
-def check_determinism(seed: int, workdir: str | None = None) -> CheckResult:
+def check_determinism(seed: int) -> CheckResult:
     """Identical config and seed give byte-identical training outputs, in
     both modes."""
 
@@ -848,24 +846,16 @@ def check_determinism(seed: int, workdir: str | None = None) -> CheckResult:
         return digests
 
     identical = True
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        for mode_cfg in (
-            {"seed": seed, "hjepa": {}},
-            {"seed": seed},
-        ):
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode, mode_cfg in (("hjepa", {"seed": seed, "hjepa": {}}), ("baseline", {"seed": seed})):
             cfg = dict(mode_cfg)
             cfg["data"] = {"n_samples": 512, "batch_size": 128}
             cfg["train"] = {"epochs": 2, "warmup_epochs": 1, "ckpt_dir": "unused"}
-            a = os.path.join(tmp, "a")
-            bdir = os.path.join(tmp, "b")
+            a = os.path.join(tmp, mode, "a")
+            bdir = os.path.join(tmp, mode, "b")
             train(copy.deepcopy(cfg), out_dir=a)
             train(copy.deepcopy(cfg), out_dir=bdir)
-            da, db = tree_digest(a), tree_digest(bdir)
-            identical = identical and da == db
-            for sub in (a, bdir):
-                for dirpath, _, files in os.walk(sub, topdown=False):
-                    for f in files:
-                        os.remove(os.path.join(dirpath, f))
+            identical = identical and tree_digest(a) == tree_digest(bdir)
     return CheckResult("determinism", identical, {"byte_identical": identical})
 
 
@@ -912,9 +902,9 @@ def setup_process():
 
     Fixes glibc's malloc thresholds and caps a loaded OpenBLAS at one
     thread.  ``cli.main`` calls it before every command, and ``run_checks``
-    calls it first and in each worker.  A library caller that runs a check
-    or a training job directly calls it once beforehand; a second call
-    changes nothing.
+    calls it before it forks its workers, which inherit both settings.  A
+    library caller that runs a check or a training job directly calls it
+    once beforehand; a second call changes nothing.
     """
     _fix_malloc_thresholds()
     _one_blas_thread()
@@ -1005,10 +995,13 @@ def run_checks(names=None, seed: int = 42) -> list:
 
     Each check is a pure function of its seed, so the checks run in
     ``worker_count`` forked worker processes, which inherit this process's
-    state, ``TOLERANCES`` included.  With one worker they run here, one
-    after another: ``taskset -c 0 hamjepa verify`` is the serial run.
-    Each result's ``seconds`` is timed where the check ran.  A check that
-    raises stops the run with its exception.
+    state: ``TOLERANCES`` and the ``setup_process`` settings included.
+    Only ``_run_one`` and each (name, seed) pair go to a worker, which looks
+    the check up in its copy of ``CHECKS``.  With one worker the checks run
+    here, one after another: ``taskset -c 0 hamjepa verify`` is the serial
+    run.  Each result's ``seconds`` is timed where the check ran.  A check
+    that raises stops the run with its exception and cancels the checks not
+    yet started; a worker that dies raises ``BrokenProcessPool``.
     """
     setup_process()
     selected = list(CHECKS) if not names else list(names)
@@ -1019,7 +1012,12 @@ def run_checks(names=None, seed: int = 42) -> list:
     workers = worker_count(len(jobs))
     if workers == 1:
         return [_run_one(job) for job in jobs]
-    import multiprocessing  # imported here, as it would add ~5 ms to every command's start
+    # imported here, as they would add ~5 ms to every command's start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.get_context("fork").Pool(workers, setup_process) as pool:
-        return list(pool.imap(_run_one, jobs, chunksize=1))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_run_one, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)

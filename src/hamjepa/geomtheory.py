@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numlin import (
+    NotPositiveDefiniteError,
     SPDOperator,
     SymMatrix,
     cholesky_factor,
-    cholesky_slogdet,
     spd_inverse,
     spd_sqrt,
     sym_eig,
@@ -281,11 +281,11 @@ def maxent_gaussian_entropy_gap(b: GeometryBudget, sigma_alt: SymMatrix) -> floa
     tr = float(np.trace(b.h.entries @ sigma_alt.entries))
     if abs(tr - b.c) > 1e-6 * max(1.0, abs(b.c)):
         raise ValueError(f"sigma_alt violates the budget: tr(H Sigma) = {tr}, c = {b.c}")
-    sign_h, logdet_h = cholesky_slogdet(SymMatrix(b.h.entries))
-    sign_a, logdet_a = cholesky_slogdet(sigma_alt)
-    if sign_a <= 0:
-        raise ValueError("sigma_alt is not positive definite")
-    logdet_star = b.d * np.log(b.c / b.d) - logdet_h
+    try:
+        logdet_a = SPDOperator(sigma_alt.entries).logdet()
+    except NotPositiveDefiniteError:
+        raise ValueError("sigma_alt is not positive definite") from None
+    logdet_star = b.d * np.log(b.c / b.d) - b.h.logdet()
     return 0.5 * (logdet_star - logdet_a)
 
 

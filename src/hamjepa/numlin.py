@@ -73,6 +73,10 @@ class SPDOperator:
         """Lower-triangular L with L L^T equal to the operator."""
         return self._factor
 
+    def logdet(self) -> float:
+        """log det of the operator, 2 * sum log L_ii of its Cholesky factor."""
+        return float(2.0 * np.sum(np.log(np.diag(self._factor))))
+
 
 @dataclass(frozen=True)
 class EigDecomp:
@@ -190,25 +194,6 @@ def sym_eig(a: SymMatrix) -> EigDecomp:
     cols = np.arange(n)
     V = np.where(V[np.argmax(np.abs(V), axis=0), cols] < 0.0, -V, V)
     return EigDecomp(w, V)
-
-
-def cholesky_slogdet(a: SymMatrix) -> tuple[int, float]:
-    """(sign, log|det|) of a symmetric matrix.
-
-    SPD inputs go through Cholesky: sign +1 and logabsdet = 2 * sum log L_ii.
-    If Cholesky fails the matrix is not positive definite; fall back to the
-    eigenvalue product so the caller can inspect the sign and decide.
-    """
-    try:
-        L = cholesky_factor(a.entries)
-    except NotPositiveDefiniteError:
-        w = sym_eig(a).eigenvalues
-        tiny = np.finfo(np.float64).tiny
-        if np.any(np.abs(w) < tiny):
-            return 0, -np.inf
-        sign = 1 if (w < 0).sum() % 2 == 0 else -1
-        return sign, float(np.sum(np.log(np.abs(w))))
-    return 1, float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def spd_sqrt(h: SPDOperator) -> SPDOperator:

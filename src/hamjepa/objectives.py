@@ -223,20 +223,18 @@ def prediction_loss(
     )
 
 
-def lejepa_prediction_loss(z_views: np.ndarray, n_global: int) -> tuple[float, np.ndarray]:
+def lejepa_prediction_loss(z_views: np.ndarray) -> tuple[float, np.ndarray]:
     """Half mean squared deviation of every view from the per-sample mean of
-    the first ``n_global`` views."""
+    all views."""
     z = np.asarray(z_views, dtype=np.float64)
     if z.ndim != 3:
         raise ValueError(f"expected V x B x D views, got shape {z.shape}")
     V, B, D = z.shape
-    if not 1 <= n_global <= V:
-        raise ValueError(f"n_global={n_global} out of range for {V} views")
-    center = z[:n_global].mean(axis=0)
+    center = z.mean(axis=0)
     dev = z - center[None]
     loss = 0.5 * float(np.mean(dev**2))
     grad = dev / (V * B * D)
-    grad[:n_global] -= dev.sum(axis=0) / (V * B * D * n_global)
+    grad -= dev.sum(axis=0) / (V * B * D * V)
     return loss, grad
 
 

@@ -61,7 +61,6 @@ class SyntheticSpec:
     flow_time: float
     noise_std: float
     n_samples: int
-    seed: int
 
     def __post_init__(self):
         if self.h_true.dim != self.latent_dim:
@@ -552,7 +551,7 @@ def lejepa_loss_and_grads(
     step: int,
 ) -> tuple[dict, dict]:
     """Loss breakdown and encoder gradients of one baseline step: every view
-    predicts the mean of the global views, and the sliced-CF statistic
+    predicts the mean of all views, and the sliced-CF statistic
     regularizes each view's batch."""
     V = len(views)
     B = views[0].shape[0]
@@ -562,7 +561,7 @@ def lejepa_loss_and_grads(
     D = z.shape[1]
     z_views = z.reshape(V, B, D)
 
-    l_pred, g_pred = lejepa_prediction_loss(z_views, n_global=V)
+    l_pred, g_pred = lejepa_prediction_loss(z_views)
     slices = slice_cache.get(step)
     stats = []
     g_sig = np.zeros_like(z_views)
@@ -766,7 +765,6 @@ def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:
         flow_time=data["flow_time"],
         noise_std=data["noise_std"],
         n_samples=data["n_samples"],
-        seed=cfg["seed"],
     )
 
 

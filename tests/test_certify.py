@@ -1,6 +1,9 @@
-"""run_checks: the worker pool gives the in-process results, in order."""
+"""run_checks: the worker pool gives the in-process results, in order, and
+neither a raising check nor a dead worker leaves it hanging."""
 
+import ctypes
 import os
+import signal
 import subprocess
 import sys
 
@@ -59,9 +62,26 @@ def test_one_worker_runs_in_process(monkeypatch):
     assert {r.details["pid"] for r in certify.run_checks(names)} == {os.getpid()}
 
 
-def test_raising_check_propagates_from_a_worker():
-    # in a child process, so that a pool that hung would fail the test
-    script = """
+def run_script(script, timeout):
+    """Run ``script`` in a fresh interpreter in its own process group; fail
+    the test, and kill the group, if it has not exited after ``timeout`` s."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the worker pool needs the fork start method")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    return proc.returncode, out, err
+
+
+RAISING = """
 from hamjepa import certify
 
 def broken(seed):
@@ -69,16 +89,99 @@ def broken(seed):
 
 certify.CHECKS["broken"] = broken
 certify.worker_count = lambda n_checks: min(2, n_checks)
+"""
+
+
+def test_raising_check_propagates_from_a_worker():
+    script = RAISING + """
 certify.run_checks(["convergence_order", "broken", "no_universal_target"], seed=5)
 """
-    if not hasattr(os, "fork"):
-        pytest.skip("the worker pool needs the fork start method")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    code, _, err = run_script(script, timeout=60)
+    assert code == 1
+    assert err.rstrip().endswith("ZeroDivisionError: broken at seed 5")
+
+
+def test_raising_check_stops_the_run_every_time():
+    script = RAISING + """
+import multiprocessing
+
+for seed in range(10):
+    try:
+        certify.run_checks(["convergence_order", "broken", "no_universal_target"], seed=seed)
+    except ZeroDivisionError as exc:
+        assert str(exc) == f"broken at seed {seed}", exc
+    else:
+        raise AssertionError("the raising check did not stop the run")
+    assert not multiprocessing.active_children()
+print("ok")
+"""
+    code, out, err = run_script(script, timeout=120)
+    assert (code, out) == (0, "ok\n"), err
+
+
+def test_dead_worker_aborts_verify_with_exit_3():
+    script = """
+import multiprocessing
+import os
+import signal
+import sys
+
+from hamjepa import certify, cli
+
+def die(seed):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+certify.CHECKS["die"] = die
+certify.worker_count = lambda n_checks: min(2, n_checks)
+code = cli.main(["verify", "--filter", "convergence_order,die,no_universal_target"])
+print(len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+    code, out, err = run_script(script, timeout=60)
+    assert code == 3, err
+    assert "verify aborted:" in err and "Traceback" not in err
+    assert out.splitlines()[-1] == "0"  # no worker left behind
+
+
+def openblas_functions(verb):
+    """The ctypes ``openblas_<verb>_num_threads`` functions, ``verb`` "get"
+    or "set", of each OpenBLAS loaded in this process, under every name that
+    ``certify`` knows (Linux; elsewhere none)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    names = [name.replace("_set_", f"_{verb}_") for name in certify._OPENBLAS_SETTERS]
+    functions = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = ([], ctypes.c_int) if verb == "get" else ([ctypes.c_int], None)
+                functions.append(fn)
+    return functions
+
+
+def test_pooled_workers_inherit_one_blas_thread(monkeypatch):
+    getters, setters = openblas_functions("get"), openblas_functions("set")
+    if not getters:
+        pytest.skip("no OpenBLAS loaded")
+    monkeypatch.setitem(
+        certify.CHECKS, "blas",
+        lambda seed: CheckResult("blas", True, {"pid": os.getpid(), "threads": [get() for get in getters]}),
     )
-    assert proc.returncode == 1
-    assert proc.stderr.rstrip().endswith("ZeroDivisionError: broken at seed 5")
+    use_workers(monkeypatch, 2)
+    for set_threads in setters:
+        set_threads(2)  # run_checks sets one thread again before it forks
+    try:
+        results = certify.run_checks(["blas", "blas"])
+    finally:
+        for set_threads in setters:
+            set_threads(1)
+    assert all(r.details["pid"] != os.getpid() for r in results)
+    assert [r.details["threads"] for r in results] == [[1] * len(getters)] * 2
 
 
 def test_worker_count_follows_cpu_affinity():

@@ -488,3 +488,11 @@ def test_maxent_gap_rejects_budget_violation():
     b = GeometryBudget(SPDOperator(np.eye(2)), 2.0)
     with pytest.raises(ValueError):
         maxent_gaussian_entropy_gap(b, SymMatrix(np.eye(2) * 7.0))
+
+
+@pytest.mark.parametrize("diag", [[3.0, -1.0], [4.0, -1.0, -1.0]], ids=["one-negative", "two-negative"])
+def test_maxent_gap_rejects_indefinite_alternative(diag):
+    # on the budget (tr Sigma = c under H = I), but not a covariance
+    b = GeometryBudget(SPDOperator(np.eye(len(diag))), 2.0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        maxent_gaussian_entropy_gap(b, SymMatrix(np.diag(diag)))

@@ -8,7 +8,6 @@ from hamjepa.numlin import (
     SymMatrix,
     _round_robin,
     cholesky_factor,
-    cholesky_slogdet,
     orthonormalize_columns,
     spd_inverse,
     spd_sqrt,
@@ -141,33 +140,22 @@ def test_spd_eigenvalues_positive():
         assert np.all(sym_eig(SymMatrix(h.entries)).eigenvalues > 0)
 
 
-def test_cholesky_slogdet_trivial():
-    assert cholesky_slogdet(SymMatrix(np.eye(3))) == (1, 0.0)
-    sgn, lad = cholesky_slogdet(SymMatrix(np.diag([np.e, np.e])))
-    assert sgn == 1
-    assert abs(lad - 2.0) < 1e-14
+def test_logdet_trivial():
+    assert SPDOperator(np.eye(3)).logdet() == 0.0
+    assert abs(SPDOperator(np.diag([np.e, np.e])).logdet() - 2.0) < 1e-14
 
 
-def test_cholesky_slogdet_matches_eig_oracle_seed3():
+def test_logdet_matches_eig_oracle_seed3():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((5, 5))
     s = w @ w.T + 5 * np.eye(5)
-    sgn, lad = cholesky_slogdet(SymMatrix(s))
     eig_sum = np.sum(np.log(sym_eig(SymMatrix(s)).eigenvalues))
-    assert sgn == 1
-    assert abs(lad - eig_sum) < 1e-9
-
-
-def test_cholesky_slogdet_indefinite_fallback():
-    sgn, lad = cholesky_slogdet(SymMatrix(np.diag([2.0, -3.0])))
-    assert sgn == -1
-    assert abs(lad - np.log(6.0)) < 1e-12
+    assert abs(SPDOperator(s).logdet() - eig_sum) < 1e-9
 
 
 def test_slogdet_agrees_with_eig_on_random_corpus(spd_corpus):
     for s, eig in spd_corpus:
-        sgn, lad = cholesky_slogdet(SymMatrix(s))
-        assert sgn == 1
+        lad = SPDOperator(s).logdet()
         assert abs(lad - np.sum(np.log(eig.eigenvalues))) < 1e-8 * max(1.0, abs(lad))
 
 

@@ -124,27 +124,27 @@ def test_prediction_loss_rejects_mismatched_batches():
 
 def test_lejepa_identical_views():
     z = np.tile(RNG(0).standard_normal((1, 4, 3)), (3, 1, 1))
-    loss, grad = lejepa_prediction_loss(z, 2)
-    assert loss == 0.0
+    loss, grad = lejepa_prediction_loss(z)
+    assert loss <= 1e-30  # the mean of three equal floats may round off them
     assert np.allclose(grad, 0.0)
 
 
 def test_lejepa_two_point_example():
     z = np.array([0.0, 2.0]).reshape(2, 1, 1)
-    loss, _ = lejepa_prediction_loss(z, 2)
+    loss, _ = lejepa_prediction_loss(z)
     assert abs(loss - 0.5) < 1e-15
 
 
 def test_lejepa_quadratic_homogeneity():
     z = RNG(5).standard_normal((3, 6, 4))
-    base, _ = lejepa_prediction_loss(z, 2)
-    scaled, _ = lejepa_prediction_loss(3.0 * z, 2)
+    base, _ = lejepa_prediction_loss(z)
+    scaled, _ = lejepa_prediction_loss(3.0 * z)
     assert abs(scaled - 9.0 * base) < 1e-12 * max(1.0, scaled)
 
 
 def test_lejepa_gradient_matches_fd():
     z = RNG(6).standard_normal((3, 4, 2))
-    _, grad = lejepa_prediction_loss(z, 2)
+    _, grad = lejepa_prediction_loss(z)
     h = 1e-6
     rng = RNG(7)
     for _ in range(10):
@@ -152,7 +152,7 @@ def test_lejepa_gradient_matches_fd():
         zp, zm = z.copy(), z.copy()
         zp[v, b, j] += h
         zm[v, b, j] -= h
-        fd = (lejepa_prediction_loss(zp, 2)[0] - lejepa_prediction_loss(zm, 2)[0]) / (2 * h)
+        fd = (lejepa_prediction_loss(zp)[0] - lejepa_prediction_loss(zm)[0]) / (2 * h)
         assert abs(grad[v, b, j] - fd) <= 1e-5 * max(abs(fd), 1e-6)
 
 
