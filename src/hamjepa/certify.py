@@ -12,6 +12,7 @@ returns a CheckResult with the measured residuals.
 
 import copy
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -680,57 +681,56 @@ def check_sigreg_calibration(seed: int) -> CheckResult:
 # --- training checks ----------------------------------------------------------------
 
 
-def _default_hjepa_config(seed: int, ckpt_dir: str, epochs: int = 30, **overrides):
-    cfg = {"seed": seed, "hjepa": {}, "train": {"epochs": epochs, "ckpt_dir": ckpt_dir}}
-    for block, kv in overrides.items():
-        cfg.setdefault(block, {}).update(kv)
-    return cfg
+# The training runs the checks read, by name: each a raw config without its seed.
+_RUNS = {
+    "hjepa": {"hjepa": {}, "train": {"epochs": 30}},
+    "baseline": {"train": {"epochs": 30}},
+    # no anti-collapse weights and live targets: the run that must collapse
+    "ablated": {
+        "hjepa": {},
+        "loss": {"detach_target": False},
+        "train": {
+            "epochs": 14,
+            "lambda_budget": 0.0,
+            "lambda_var": 0.0,
+            "lambda_logdet": 0.0,
+            "lambda_mean": 0.0,
+        },
+    },
+}
 
 
-def _readout_knn(result, cfg_raw, readout="q", k=20):
-    va, _, labels, cut = trainer.run_views(validate_config(cfg_raw))
-    state, _ = encoder_forward(result["encoder"], va)
-    feats = {"q": state.q, "p": state.p, "qp": np.concatenate([state.q, state.p], axis=1)}[readout]
-    return knn_accuracy(feats[:cut], labels[:cut], feats[cut:], labels[cut:], k)
+@functools.lru_cache(maxsize=len(_RUNS))
+def _trained(seed: int, run: str) -> tuple:
+    """Train ``_RUNS[run]`` at ``seed``, once per process: the checks that
+    read a run share it.  Returns (validated config, step records of its
+    ``metrics.jsonl``, q-readout kNN@20), which callers only read."""
+    raw = {"seed": seed, **_RUNS[run]}
+    cfg = validate_config(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = train(raw, out_dir=tmp)
+        with open(result["metrics_path"]) as fh:
+            records = tuple(rec for rec in map(json.loads, fh) if "epoch_summary" not in rec)
+    va, _, labels, cut = trainer.run_views(cfg)
+    q = encoder_forward(result["encoder"], va)[0].q
+    return cfg, records, knn_accuracy(q[:cut], labels[:cut], q[cut:], labels[cut:], 20)
 
 
 def check_anti_collapse_training(seed: int) -> CheckResult:
     """The default predictive run keeps the projected log-volume above its
     floor after warmup, while the ablation (no anti-collapse weights, live
     targets) collapses within the step budget."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = _default_hjepa_config(seed, os.path.join(tmp, "default"))
-        result = train(cfg, out_dir=os.path.join(tmp, "default"))
-        valid = validate_config(cfg)
-        tau = valid["regularizer"]["q_logdet_floor"]
-        warmup = max(valid["train"]["warmup_epochs"], valid["hjepa"]["residual_scale_warmup_epochs"])
-        min_lvol = np.inf
-        for line in open(result["metrics_path"]):
-            rec = json.loads(line)
-            if "lvol_q" in rec and rec["epoch"] >= warmup:
-                min_lvol = min(min_lvol, rec["lvol_q"], rec["lvol_p"])
-
-        ablated = _default_hjepa_config(
-            seed,
-            os.path.join(tmp, "ablated"),
-            epochs=14,
-            loss={"detach_target": False},
-            train={
-                "lambda_budget": 0.0,
-                "lambda_var": 0.0,
-                "lambda_logdet": 0.0,
-                "lambda_mean": 0.0,
-            },
-        )
-        result_a = train(ablated, out_dir=os.path.join(tmp, "ablated"))
-        drop_step = None
-        for line in open(result_a["metrics_path"]):
-            rec = json.loads(line)
-            if "lvol_q" not in rec or rec["step"] >= TOLERANCES["collapse_steps"]:
-                continue
-            if min(rec["lvol_q"], rec["lvol_p"]) < tau - TOLERANCES["collapse_drop"]:
-                drop_step = rec["step"]
-                break
+    cfg, records, _ = _trained(seed, "hjepa")
+    tau = cfg["regularizer"]["q_logdet_floor"]
+    warmup = max(cfg["train"]["warmup_epochs"], cfg["hjepa"]["residual_scale_warmup_epochs"])
+    lvols = [min(r["lvol_q"], r["lvol_p"]) for r in records if r["epoch"] >= warmup]
+    min_lvol = min(lvols, default=np.inf)
+    drops = (
+        r["step"] for r in _trained(seed, "ablated")[1]
+        if r["step"] < TOLERANCES["collapse_steps"]
+        and min(r["lvol_q"], r["lvol_p"]) < tau - TOLERANCES["collapse_drop"]
+    )
+    drop_step = next(drops, None)
     ok = min_lvol >= tau - TOLERANCES["lvol_margin"] and drop_step is not None
     return CheckResult(
         "anti_collapse_training",
@@ -742,13 +742,8 @@ def check_anti_collapse_training(seed: int) -> CheckResult:
 def check_headline_gap(seed: int) -> CheckResult:
     """The phase-space predictive run beats the mean-of-views baseline on
     the content-readout neighborhood accuracy by the frozen margin."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_h = _default_hjepa_config(seed, os.path.join(tmp, "h"))
-        res_h = train(cfg_h, out_dir=os.path.join(tmp, "h"))
-        knn_h = _readout_knn(res_h, cfg_h)
-        cfg_b = {"seed": seed, "train": {"epochs": 30, "ckpt_dir": os.path.join(tmp, "b")}}
-        res_b = train(cfg_b, out_dir=os.path.join(tmp, "b"))
-        knn_b = _readout_knn(res_b, cfg_b)
+    knn_h = _trained(seed, "hjepa")[2]
+    knn_b = _trained(seed, "baseline")[2]
     gap = 100.0 * (knn_h - knn_b)
     return CheckResult(
         "headline_gap",

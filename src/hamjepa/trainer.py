@@ -330,7 +330,6 @@ _COMMON_BLOCKS = {
         "flow_time": _Key(0.2, "number", 0),
         "stiffness_max": _Key(16.0, "number", 0, open_low=True),
         "batch_size": _Key(256, "int", 1),
-        "drop_last": _Key(True, "bool"),
     },
     "model": {
         "hidden_dims": _Key((64, 64), "ints", 1),
@@ -344,7 +343,6 @@ _COMMON_BLOCKS = {
         "warmup_epochs": _Key(3, "number", 0),
         "min_lr_ratio": _Key(0.05, "number", 0, 1, open_low=True),
         "grad_clip": _Key(1.0, "number", 0, open_low=True),
-        "log_every": _Key(1, "int", 1),
         "lambda_budget": _Key(1.0, "number", 0),
         "lambda_var": _Key(1.0, "number", 0),
         "lambda_logdet": _Key(1.0, "number", 0),
@@ -425,13 +423,11 @@ def validate_config(raw: dict) -> dict:
     if cfg["model"]["embed_dim"] % 2 != 0:
         raise ConfigError("model.embed_dim must be even for the q/p split")
     data = cfg["data"]
-    if data["drop_last"] and data["batch_size"] > data["n_samples"]:
+    if data["batch_size"] > data["n_samples"]:
         raise ConfigError("data.batch_size exceeds data.n_samples, so no batch is left")
-    tail = 0 if data["drop_last"] else data["n_samples"] % data["batch_size"]
-    if mode == "baseline" and (data["batch_size"] < 2 or tail == 1):
+    if mode == "baseline" and data["batch_size"] < 2:
         raise ConfigError(
-            "data.batch_size: every baseline batch, the last one included, needs at least "
-            "2 samples for the sliced-CF statistic"
+            "data.batch_size: a baseline batch needs at least 2 samples for the sliced-CF statistic"
         )
     return cfg
 
@@ -853,7 +849,7 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     save_checkpoint(os.path.join(out_dir, "checkpoint_init"), enc, net, opt, meta)
 
     batch = cfg["data"]["batch_size"]
-    steps_per_epoch = n // batch if cfg["data"]["drop_last"] else math.ceil(n / batch)
+    steps_per_epoch = n // batch  # the last, partial batch is dropped
     shuffle_rng = rngs["shuffle"]
     epochs = train_cfg["epochs"]
     global_step = 0
@@ -866,19 +862,18 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
             epoch_totals = []
             for b in range(steps_per_epoch):
                 idx = order[b * batch : (b + 1) * batch]
-                if len(idx) == 0:
-                    continue
                 frac = min(epoch + (b + 1) / steps_per_epoch, schedule.total_epochs)
                 lr = lr_at(schedule, train_cfg["lr"], frac)
                 try:
-                    report = run_step(epoch, idx, lr, frac, global_step)
+                    # a blow-up raises TrainingAbort in the step's finite checks
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        report = run_step(epoch, idx, lr, frac, global_step)
                 except OverflowError as exc:
                     raise TrainingAbort(f"overflow at step {global_step}: {exc}") from exc
                 report["lr"] = lr
                 report["epoch"] = epoch
                 epoch_totals.append(report["total"])
-                if global_step % train_cfg["log_every"] == 0:
-                    metrics.write(json.dumps(report, sort_keys=True) + "\n")
+                metrics.write(json.dumps(report, sort_keys=True) + "\n")
                 last_report = report
                 global_step += 1
             metrics.write(

@@ -1,5 +1,6 @@
 """run_checks: the worker pool gives the in-process results, in order, and
-neither a raising check nor a dead worker leaves it hanging."""
+neither a raising check nor a dead worker leaves it hanging.  In one
+process, the training checks share their runs."""
 
 import ctypes
 import os
@@ -188,3 +189,25 @@ def test_worker_count_follows_cpu_affinity():
     assert certify.worker_count(1) == 1
     if hasattr(os, "sched_getaffinity"):
         assert certify.worker_count(10_000) == len(os.sched_getaffinity(0))
+
+
+def test_training_checks_share_their_runs(monkeypatch):
+    for run, cfg in certify._RUNS.items():
+        small = {**cfg, "data": {"n_samples": 256, "batch_size": 64}, "train": {**cfg["train"], "epochs": 2}}
+        monkeypatch.setitem(certify._RUNS, run, small)
+    calls = []
+
+    def counted_train(cfg, out_dir=None):
+        calls.append(cfg)
+        return certify.trainer.train(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(certify, "train", counted_train)
+    certify._trained.cache_clear()  # monkeypatch does not undo a cache
+    try:
+        certify.check_anti_collapse_training(3)
+        certify.check_headline_gap(3)
+        assert len(calls) == 3  # hjepa, ablated, baseline: the hjepa run is shared
+        certify.check_determinism(3)
+        assert len(calls) == 7  # determinism trains its own two pairs
+    finally:
+        certify._trained.cache_clear()
