@@ -61,7 +61,7 @@ from .objectives import (
     SIGRegSpec,
     prediction_loss,
     projected_logdet_floor,
-    sigreg_statistic,
+    sigreg_value,
     unit_slices,
 )
 from .trainer import (
@@ -668,10 +668,10 @@ def check_sigreg_calibration(seed: int) -> CheckResult:
     nulls = []
     for n in (10_000, 100_000):
         z = rng.standard_normal((n, 8))
-        nulls.append(sigreg_statistic(z, spec, slices)[0])
+        nulls.append(sigreg_value(z, spec, slices))
     shifted = z.copy()
     shifted[:, 0] += 3.0
-    loud = sigreg_statistic(shifted, spec, slices)[0]
+    loud = sigreg_value(shifted, spec, slices)
     ok = max(nulls) <= 5.0 and loud >= 10.0 * nulls[-1]
     return CheckResult(
         "sigreg_calibration", ok, {"nulls": nulls, "shifted": loud, "ratio": loud / nulls[-1]}
@@ -882,14 +882,60 @@ CHECKS = {
 }
 
 
-def worker_count(n_checks: int) -> int:
-    """Worker processes ``run_checks`` starts for ``n_checks`` checks: one
-    per CPU this process may run on, at most one per check.  1 means the
-    checks run in this process; so does a platform without fork."""
+# The slow checks, slowest first, as pool jobs: the checks of one job run one
+# after another in one worker, so the two that read the default hjepa run
+# share ``_trained``'s copy of it.  Dispatching the longest jobs first keeps
+# a worker from starting a long check when the others are nearly done
+# (Graham 1969, SIAM J. Appl. Math. 17(2)).
+_SLOW_JOBS = (
+    ("anti_collapse_training", "headline_gap"),
+    ("expressivity",),
+    ("price_of_isotropy",),
+    ("shadow_energy",),
+    ("sigreg_calibration",),
+    ("determinism",),
+)
+
+
+def _selected(names) -> list:
+    """The checks ``names`` selects (all when empty), each named once."""
+    if not names:
+        return list(CHECKS)
+    selected = list(names)
+    if "" in selected:
+        raise KeyError("empty check name in the filter")
+    repeated = sorted({n for n in selected if selected.count(n) > 1})
+    if repeated:
+        raise KeyError(f"checks named more than once: {', '.join(repeated)}")
+    unknown = [n for n in selected if n not in CHECKS]
+    if unknown:
+        raise KeyError(f"unknown checks: {', '.join(unknown)}")
+    return selected
+
+
+def dispatch_plan(names=None) -> list:
+    """The pool's jobs for the checks ``names`` selects, in dispatch order.
+
+    Each job is a tuple of check names that run back to back in one worker:
+    first the entries of ``_SLOW_JOBS``, each cut down to the selected
+    checks and dropped when none is left, then every other selected check
+    as a job of its own, in the order named.  Raises KeyError for an empty,
+    repeated or unknown name.
+    """
+    selected = _selected(names)
+    jobs = [job for job in (tuple(n for n in slow if n in selected) for slow in _SLOW_JOBS) if job]
+    planned = {n for job in jobs for n in job}
+    return jobs + [(n,) for n in selected if n not in planned]
+
+
+def worker_count(n_jobs: int) -> int:
+    """Worker processes ``run_checks`` starts for ``n_jobs`` jobs: one per
+    CPU this process may run on, at most one per job.  1 means the checks
+    run in this process; so does a platform without fork."""
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, n_checks))
+    return max(1, min(cpus or 1, n_jobs))
 
 
 def setup_process():
@@ -984,35 +1030,41 @@ def _run_one(job) -> CheckResult:
     return result
 
 
+def _run_group(names, seed: int) -> list:
+    """Run one job of the dispatch plan, its checks in order, here."""
+    return [_run_one((name, seed)) for name in names]
+
+
 def run_checks(names=None, seed: int = 42) -> list:
     """Run the named checks (all by default) and return their results in
     the order named.
 
-    Each check is a pure function of its seed, so the checks run in
-    ``worker_count`` forked worker processes, which inherit this process's
-    state: ``TOLERANCES`` and the ``setup_process`` settings included.
-    Only ``_run_one`` and each (name, seed) pair go to a worker, which looks
-    the check up in its copy of ``CHECKS``.  With one worker the checks run
-    here, one after another: ``taskset -c 0 hamjepa verify`` is the serial
-    run.  Each result's ``seconds`` is timed where the check ran.  A check
-    that raises stops the run with its exception and cancels the checks not
-    yet started; a worker that dies raises ``BrokenProcessPool``.
+    Each check is a pure function of its seed, so the jobs of
+    ``dispatch_plan`` run in ``worker_count`` forked worker processes, which
+    inherit this process's state: ``TOLERANCES`` and the ``setup_process``
+    settings included.  The jobs are submitted in plan order, slowest first.
+    Only ``_run_group``, a job's check names and the seed go to a worker,
+    which looks each check up in its copy of ``CHECKS``.  With one worker
+    the checks run here, one after another, in the order named:
+    ``taskset -c 0 hamjepa verify`` is the serial run.  Each result's
+    ``seconds`` is timed where the check ran.  A check that raises stops
+    the run with its exception and cancels the jobs not yet started; a
+    worker that dies raises ``BrokenProcessPool``.
     """
     setup_process()
-    selected = list(CHECKS) if not names else list(names)
-    unknown = [n for n in selected if n not in CHECKS]
-    if unknown:
-        raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    jobs = [(name, seed) for name in selected]
+    selected = _selected(names)
+    jobs = dispatch_plan(selected)
     workers = worker_count(len(jobs))
     if workers == 1:
-        return [_run_one(job) for job in jobs]
+        return [_run_one((name, seed)) for name in selected]
     # imported here, as they would add ~5 ms to every command's start
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_one, jobs))
+        futures = [pool.submit(_run_group, job, seed) for job in jobs]
+        by_name = {n: r for job, f in zip(jobs, futures) for n, r in zip(job, f.result())}
     finally:
         pool.shutdown(cancel_futures=True)
+    return [by_name[name] for name in selected]

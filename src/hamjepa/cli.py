@@ -50,9 +50,10 @@ def cmd_verify(args) -> int:
     seed = _env_seed(args.seed)
     names = args.filter.split(",") if args.filter else None
     try:
+        jobs = certify.dispatch_plan(names)
         results = certify.run_checks(names, seed=seed)
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # str() of a KeyError would quote its message
+        print(f"config error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     except BrokenExecutor as exc:  # a worker process died
         print(f"verify aborted: {exc}", file=sys.stderr)
@@ -82,7 +83,8 @@ def cmd_verify(args) -> int:
             fh.write("\n")
         # wall-clock data goes beside the report, so the report stays byte identical
         timings = {
-            "workers": certify.worker_count(len(results)),
+            "workers": certify.worker_count(len(jobs)),  # as run_checks counts them
+            "jobs": [list(job) for job in jobs],
             "seconds": {r.name: r.seconds for r in results},
         }
         with open(os.path.join(args.out, "verify_timings.json"), "w") as fh:

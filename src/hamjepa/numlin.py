@@ -18,6 +18,7 @@ import numpy as np
 # norm relative to the full Frobenius norm, and a hard cap on the sweeps.
 JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+_MIN_NORMAL = np.finfo(np.float64).tiny  # smallest positive normal float64
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -143,6 +144,9 @@ def sym_eig(a: SymMatrix) -> EigDecomp:
     fixed round order, fixed rotation formulas, stable descending sort with
     a sign convention on each eigenvector (largest-magnitude entry positive).
     An input that is already diagonal takes no sweep and comes back exact.
+    An input whose squared Frobenius norm is not a normal float64 (entries
+    above about 1e154 or below about 1e-154) is rotated scaled by a power
+    of two, so the stopping tolerance stays finite and nonzero.
     """
     A = a.entries.copy()
     n = A.shape[0]
@@ -151,8 +155,17 @@ def sym_eig(a: SymMatrix) -> EigDecomp:
     if n == 1:
         return EigDecomp(A[0].copy(), V)
 
-    norm_all = np.sqrt(np.sum(A * A))
-    tol = JACOBI_REL_TOL * norm_all
+    with np.errstate(over="ignore"):  # an overflow fails the range test below
+        norm_sq = np.sum(A * A)
+    exponent = 0
+    if not _MIN_NORMAL <= norm_sq < math.inf and A.any() and np.isfinite(A).all():
+        # Outside float64's normal range the tolerance would be inf or 0 and
+        # no sweep would run: rotate A scaled by an exact power of two, to
+        # a largest magnitude in [0.5, 1), and scale the eigenvalues back.
+        exponent = int(np.frexp(np.abs(A).max())[1])
+        A = np.ldexp(A, -exponent)
+        norm_sq = np.sum(A * A)
+    tol = JACOBI_REL_TOL * np.sqrt(norm_sq)
 
     for _ in range(JACOBI_MAX_SWEEPS):
         off = A - np.diag(np.diag(A))
@@ -186,7 +199,7 @@ def sym_eig(a: SymMatrix) -> EigDecomp:
             f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps (dim {n})"
         )
 
-    w = np.diag(A).copy()
+    w = np.ldexp(np.diag(A), exponent)  # a copy, exact at exponent 0
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]

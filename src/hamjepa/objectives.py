@@ -365,32 +365,17 @@ def projected_logdet_floor(
     return float(loss), diag, dx
 
 
-def sigreg_statistic(
-    z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Sliced characteristic-function statistic against the standard normal.
+def _sigreg_first_pass(z, spec: SIGRegSpec, slices: np.ndarray) -> tuple:
+    """The statistic's first pass over the samples of ``z``, block by block.
 
-    Projects the batch onto unit slice directions, y = z @ slices, takes the
-    empirical characteristic function c_hat + i s_hat = mean over samples of
-    exp(i t y) at each knot t, and mean-reduces over slices the weighted
-    squared deviation from exp(-t^2/2), scaled by the sample count n:
-    ``mean_k n sum_t w_t ((c_hat - exp(-t^2/2))^2 + s_hat^2)``.
-
-    ``SIGRegSpec`` holds the knots to an even grid t_j = j t_1, so
-    exp(i t_j y) is the j-th power of exp(i t_1 y): one cos and one sin per
-    (sample, slice), then one complex product per further knot.  The
-    gradient in y, (2/K) sum_t w_t t (s_hat cos(t y) - dev_c sin(t y)), is
-    one contraction of those powers with per-(knot, slice) weight pairs.
-
-    Samples go in blocks of ``SIGREG_ROW_BLOCK``.  A first pass sums each
-    block's powers; a second recomputes them (the last block's are still at
-    hand) and writes the block's gradient rows.  So memory is bounded by the
-    block, not by n.  The direct form,
-    cos and sin of every t_j y, is kept as the reference in the tests; the
-    two agree to rounding.
+    Returns (stat, s_hat, dev_c, blocks, block_powers, powers): the
+    statistic, the (knot, slice) sine means and cosine deviations, the row
+    blocks, ``block_powers(rows)``, which writes exp(i j t_1 y) for a
+    block's projections into one shared buffer, and that buffer's view of
+    the last block's powers.
     """
     z = np.asarray(z, dtype=np.float64)
-    n, d = z.shape
+    n, _ = z.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
     kslices = slices.shape[1]
@@ -417,13 +402,46 @@ def sigreg_statistic(
     s_hat = cf_sum.imag / n
     dev_c = c_hat - np.exp(-0.5 * spec.knots**2)[:, None]
     per_slice = n * np.sum(spec.weights[:, None] * (dev_c**2 + s_hat**2), axis=0)
-    stat = float(per_slice.mean())
+    return float(per_slice.mean()), s_hat, dev_c, blocks, block_powers, powers
 
+
+def sigreg_value(z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray) -> float:
+    """The value of ``sigreg_statistic`` alone, bitwise: its first pass,
+    without the gradient's second pass or its (n, d) array."""
+    return _sigreg_first_pass(z, spec, slices)[0]
+
+
+def sigreg_statistic(
+    z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Sliced characteristic-function statistic against the standard normal.
+
+    Projects the batch onto unit slice directions, y = z @ slices, takes the
+    empirical characteristic function c_hat + i s_hat = mean over samples of
+    exp(i t y) at each knot t, and mean-reduces over slices the weighted
+    squared deviation from exp(-t^2/2), scaled by the sample count n:
+    ``mean_k n sum_t w_t ((c_hat - exp(-t^2/2))^2 + s_hat^2)``.
+
+    ``SIGRegSpec`` holds the knots to an even grid t_j = j t_1, so
+    exp(i t_j y) is the j-th power of exp(i t_1 y): one cos and one sin per
+    (sample, slice), then one complex product per further knot.  The
+    gradient in y, (2/K) sum_t w_t t (s_hat cos(t y) - dev_c sin(t y)), is
+    one contraction of those powers with per-(knot, slice) weight pairs.
+
+    Samples go in blocks of ``SIGREG_ROW_BLOCK``.  A first pass sums each
+    block's powers; a second recomputes them (the last block's are still at
+    hand) and writes the block's gradient rows.  So memory is bounded by the
+    block, not by n.  The direct form,
+    cos and sin of every t_j y, is kept as the reference in the tests; the
+    two agree to rounding.
+    """
+    stat, s_hat, dev_c, blocks, block_powers, powers = _sigreg_first_pass(z, spec, slices)
+    n_knots, kslices = s_hat.shape
     # The float view of the powers alternates (cos, sin) along its last
     # axis, so each slice gets the weight pair (s_hat, -dev_c).
     wt = (2.0 / kslices) * (spec.weights * spec.knots)[:, None]
     pair_weights = np.stack([wt * s_hat, -wt * dev_c], axis=-1).reshape(n_knots, 2 * kslices)
-    grad = np.empty_like(z)
+    grad = np.empty(np.shape(z))
     # backwards, so the last block's powers from the first pass are reused
     for rows in reversed(blocks):
         if rows is not blocks[-1]:

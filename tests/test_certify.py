@@ -1,6 +1,7 @@
 """run_checks: the worker pool gives the in-process results, in order, and
-neither a raising check nor a dead worker leaves it hanging.  In one
-process, the training checks share their runs."""
+neither a raising check nor a dead worker leaves it hanging.  The dispatch
+plan runs the slow checks first, and the training checks share their runs
+in one process and in the pool."""
 
 import ctypes
 import os
@@ -55,6 +56,28 @@ def test_pool_runs_checks_in_workers_in_the_order_named(monkeypatch):
     assert [r.name for r in results] == list(reversed(names))
     assert all(r.details["pid"] != os.getpid() and r.details["seed"] == 9 for r in results)
     assert all(r.passed is True and r.seconds >= 0.0 for r in results)
+
+
+def test_dispatch_plan_names_each_check_once_slowest_first():
+    jobs = certify.dispatch_plan()
+    names = [n for job in jobs for n in job]
+    assert sorted(names) == sorted(certify.CHECKS)
+    assert jobs[0] == ("anti_collapse_training", "headline_gap")
+    assert certify.dispatch_plan(["headline_gap", "minimax"]) == [("headline_gap",), ("minimax",)]
+    assert certify.dispatch_plan(FAST) == [(n,) for n in FAST]
+
+
+def test_pool_runs_a_grouped_job_in_one_worker_and_returns_the_order_named(monkeypatch):
+    names = register_pid_checks(monkeypatch, 5)
+    monkeypatch.setattr(certify, "_SLOW_JOBS", ((names[3], names[1]), (names[4],)))
+    assert certify.dispatch_plan(names) == [
+        (names[3], names[1]), (names[4],), (names[0],), (names[2],),
+    ]
+    use_workers(monkeypatch, 2)
+    results = certify.run_checks(names, seed=4)
+    assert [r.name for r in results] == names
+    pids = {r.name: r.details["pid"] for r in results}
+    assert pids[names[3]] == pids[names[1]] != os.getpid()
 
 
 def test_one_worker_runs_in_process(monkeypatch):
@@ -169,15 +192,19 @@ def test_pooled_workers_inherit_one_blas_thread(monkeypatch):
     getters, setters = openblas_functions("get"), openblas_functions("set")
     if not getters:
         pytest.skip("no OpenBLAS loaded")
-    monkeypatch.setitem(
-        certify.CHECKS, "blas",
-        lambda seed: CheckResult("blas", True, {"pid": os.getpid(), "threads": [get() for get in getters]}),
-    )
+    names = ["blas_0", "blas_1"]  # two checks, so two workers
+    for name in names:
+        monkeypatch.setitem(
+            certify.CHECKS, name,
+            lambda seed, name=name: CheckResult(
+                name, True, {"pid": os.getpid(), "threads": [get() for get in getters]}
+            ),
+        )
     use_workers(monkeypatch, 2)
     for set_threads in setters:
         set_threads(2)  # run_checks sets one thread again before it forks
     try:
-        results = certify.run_checks(["blas", "blas"])
+        results = certify.run_checks(names)
     finally:
         for set_threads in setters:
             set_threads(1)
@@ -191,10 +218,14 @@ def test_worker_count_follows_cpu_affinity():
         assert certify.worker_count(10_000) == len(os.sched_getaffinity(0))
 
 
-def test_training_checks_share_their_runs(monkeypatch):
+def shrink_runs(monkeypatch):
     for run, cfg in certify._RUNS.items():
         small = {**cfg, "data": {"n_samples": 256, "batch_size": 64}, "train": {**cfg["train"], "epochs": 2}}
         monkeypatch.setitem(certify._RUNS, run, small)
+
+
+def test_training_checks_share_their_runs(monkeypatch):
+    shrink_runs(monkeypatch)
     calls = []
 
     def counted_train(cfg, out_dir=None):
@@ -211,3 +242,36 @@ def test_training_checks_share_their_runs(monkeypatch):
         assert len(calls) == 7  # determinism trains its own two pairs
     finally:
         certify._trained.cache_clear()
+
+
+def test_pooled_training_checks_share_their_runs(monkeypatch):
+    # each training check reports its worker's pid and the default hjepa runs
+    # that worker has trained so far, in place of its details
+    shrink_runs(monkeypatch)
+    trained = []
+
+    def counted_train(cfg, out_dir=None):
+        trained.append("hjepa" in cfg and "loss" not in cfg)  # the default hjepa run
+        return certify.trainer.train(cfg, out_dir=out_dir)
+
+    def counting(check):
+        def run(seed):
+            result = check(seed)
+            result.details = {"pid": os.getpid(), "hjepa_trainings": sum(trained)}
+            return result
+        return run
+
+    monkeypatch.setattr(certify, "train", counted_train)
+    for name in ("anti_collapse_training", "headline_gap"):
+        monkeypatch.setitem(certify.CHECKS, name, counting(certify.CHECKS[name]))
+    use_workers(monkeypatch, 2)
+    certify._trained.cache_clear()
+    try:
+        results = certify.run_checks(["headline_gap", "convergence_order", "anti_collapse_training"], seed=3)
+    finally:
+        certify._trained.cache_clear()
+    assert [r.name for r in results] == ["headline_gap", "convergence_order", "anti_collapse_training"]
+    first, second = results[2].details, results[0].details  # anti_collapse_training runs first
+    assert first["pid"] == second["pid"] != os.getpid()
+    assert first["hjepa_trainings"] == second["hjepa_trainings"] == 1
+    assert trained == []  # nothing trained in this process

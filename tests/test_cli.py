@@ -63,6 +63,7 @@ def test_verify_writes_timings_beside_the_report(tmp_path):
     assert main(["verify", "--filter", "slice_demo,convergence_order", "--out", str(tmp_path)]) == 0
     timings = json.loads((tmp_path / "verify_timings.json").read_text())
     assert timings["workers"] == certify.worker_count(2)
+    assert timings["jobs"] == [["slice_demo"], ["convergence_order"]]
     assert list(timings["seconds"]) == ["slice_demo", "convergence_order"]
     assert all(s >= 0.0 for s in timings["seconds"].values())
     report = json.loads((tmp_path / "verify_report.json").read_text())
@@ -71,6 +72,28 @@ def test_verify_writes_timings_beside_the_report(tmp_path):
 
 def test_verify_unknown_filter_is_config_error(capsys):
     assert main(["verify", "--filter", "no_such_check"]) == 2
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [("slice_demo,convergence_order,slice_demo", "checks named more than once: slice_demo"),
+     ("slice_demo,,convergence_order", "empty check name in the filter")],
+    ids=["repeated", "empty"],
+)
+def test_verify_bad_filter_entry_is_config_error(tmp_path, capsys, checks, message):
+    assert main(["verify", "--filter", checks, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_timings_record_the_jobs_and_the_workers_used(tmp_path, monkeypatch):
+    # two checks in one job: one job, so they run in this process
+    monkeypatch.setattr(certify, "_SLOW_JOBS", (("convergence_order", "slice_demo"),))
+    assert main(["verify", "--filter", "slice_demo,convergence_order", "--out", str(tmp_path)]) == 0
+    timings = json.loads((tmp_path / "verify_timings.json").read_text())
+    assert timings["jobs"] == [["convergence_order", "slice_demo"]]
+    assert timings["workers"] == 1
 
 
 def test_verify_corrupted_tolerance_fails_named_check(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,19 @@ def test_sym_eig_diagonal_input_is_exact():
     order = np.argsort(-d, kind="stable")
     assert np.array_equal(e.eigenvalues, d[order])
     assert np.array_equal(e.eigenvectors, np.eye(7)[:, order])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 1e300, 1e-300])
+def test_sym_eig_outside_the_normal_range(scale):
+    # the squared norm overflows or underflows; the rotation must still run
+    for a in ([[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0, 0.5], [1.0, 2.0, -0.3], [0.5, -0.3, 1.0]]):
+        a = np.array(a) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = sym_eig(SymMatrix(a))
+        ref = np.linalg.eigvalsh(a)[::-1]
+        assert np.all(np.abs(e.eigenvalues - ref) <= 1e-14 * np.abs(ref))
+        assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(len(a))).max() <= 1e-14
 
 
 def test_sym_eig_deterministic():

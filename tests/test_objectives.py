@@ -19,6 +19,7 @@ from hamjepa.objectives import (
     prediction_loss,
     projected_logdet_floor,
     sigreg_statistic,
+    sigreg_value,
     unit_slices,
     variance_floor,
 )
@@ -453,6 +454,7 @@ def test_sigreg_matches_direct_reference(n, n_knots, n_slices, shift_scale):
     shift, scale = shift_scale
     z = shift + scale * RNG(32).standard_normal((n, 6))
     stat, grad = sigreg_statistic(z, spec, slices)
+    assert sigreg_value(z, spec, slices) == stat  # bitwise: the same first pass
     ref_stat, ref_grad = direct_sigreg(z, spec, slices)
     assert abs(stat - ref_stat) <= 1e-12 * abs(ref_stat)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
