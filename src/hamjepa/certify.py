@@ -65,6 +65,7 @@ from .objectives import (
     unit_slices,
 )
 from .trainer import (
+    ConfigError,
     OptimizerState,
     ScheduleSpec,
     adamw_step,
@@ -903,13 +904,13 @@ def _selected(names) -> list:
         return list(CHECKS)
     selected = list(names)
     if "" in selected:
-        raise KeyError("empty check name in the filter")
+        raise ConfigError("empty check name in the filter")
     repeated = sorted({n for n in selected if selected.count(n) > 1})
     if repeated:
-        raise KeyError(f"checks named more than once: {', '.join(repeated)}")
+        raise ConfigError(f"checks named more than once: {', '.join(repeated)}")
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
-        raise KeyError(f"unknown checks: {', '.join(unknown)}")
+        raise ConfigError(f"unknown checks: {', '.join(unknown)}")
     return selected
 
 
@@ -919,8 +920,8 @@ def dispatch_plan(names=None) -> list:
     Each job is a tuple of check names that run back to back in one worker:
     first the entries of ``_SLOW_JOBS``, each cut down to the selected
     checks and dropped when none is left, then every other selected check
-    as a job of its own, in the order named.  Raises KeyError for an empty,
-    repeated or unknown name.
+    as a job of its own, in the order named.  Raises ConfigError for an
+    empty, repeated or unknown name.
     """
     selected = _selected(names)
     jobs = [job for job in (tuple(n for n in slow if n in selected) for slow in _SLOW_JOBS) if job]

@@ -7,7 +7,9 @@ coarse Euler and leapfrog transport.
 
 Every command is a pure function of (config bytes, seed) to (output bytes,
 exit code).  Exit codes: 0 success, 1 check failure, 2 config error,
-3 runtime abort.  The HAMJEPA_SEED environment variable overrides the seed.
+3 runtime abort.  ``main`` alone turns an exception into an exit code: a
+ConfigError exits 2 and one of ``ABORTS`` exits 3, each with one line on
+stderr.  The HAMJEPA_SEED environment variable overrides the seed.
 """
 
 import argparse
@@ -25,6 +27,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
+
+# the exceptions that end a command as a runtime abort; any other is a bug
+# and keeps its traceback.  ConfigError is a ValueError: main catches it first.
+ABORTS = (TrainingAbort, FloatingPointError, OSError, ValueError)
+
 
 def _env_seed(default: int) -> int:
     """The seed: HAMJEPA_SEED if set, else ``default`` (the --seed flag or
@@ -49,15 +56,13 @@ def cmd_verify(args) -> int:
 
     seed = _env_seed(args.seed)
     names = args.filter.split(",") if args.filter else None
+    jobs = certify.dispatch_plan(names)
+    if args.out:  # before the checks run, so that an --out that is a file fails at once
+        os.makedirs(args.out, exist_ok=True)
     try:
-        jobs = certify.dispatch_plan(names)
         results = certify.run_checks(names, seed=seed)
-    except KeyError as exc:  # str() of a KeyError would quote its message
-        print(f"config error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
     except BrokenExecutor as exc:  # a worker process died
-        print(f"verify aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+        raise TrainingAbort(str(exc)) from exc
     all_passed = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -77,7 +82,6 @@ def cmd_verify(args) -> int:
         }
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -118,20 +122,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if "HAMJEPA_SEED" in os.environ:
         raw["seed"] = _env_seed(raw.get("seed", 42))
     return raw
 
 
 def cmd_train(args) -> int:
-    try:
-        result = trainer.train(_load_config(args.config), out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TrainingAbort, FloatingPointError, OSError) as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+    result = trainer.train(_load_config(args.config), out_dir=args.out)
     print(f"mode={result['mode']} steps={result['steps']} out={result['out_dir']}")
     if result["final"] is not None:
         print(f"final total={result['final']['total']:.6g}")
@@ -142,57 +141,48 @@ KNN_SWEEP = (1, 5, 10, 20, 50)
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        raw = _load_config(args.config)
-        cfg = trainer.validate_config(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        enc = trainer.load_encoder(args.checkpoint)
-        views_a, _, labels, cut = trainer.run_views(cfg)
-        if enc.weights[0].shape[1] != views_a.shape[1]:
-            raise TrainingAbort(
-                f"checkpoint expects inputs of dim {enc.weights[0].shape[1]},"
-                f" config generates dim {views_a.shape[1]}"
-            )
-        os.makedirs(args.out, exist_ok=True)
-        state, _ = trainer.encoder_forward(enc, views_a)
-        readouts = {
-            "q": state.q,
-            "p": state.p,
-            "qp": np.concatenate([state.q, state.p], axis=1),
+    cfg = trainer.validate_config(_load_config(args.config))
+    enc = trainer.load_encoder(args.checkpoint)
+    views_a, _, labels, cut = trainer.run_views(cfg)
+    if enc.weights[0].shape[1] != views_a.shape[1]:
+        raise TrainingAbort(
+            f"checkpoint expects inputs of dim {enc.weights[0].shape[1]},"
+            f" config generates dim {views_a.shape[1]}"
+        )
+    os.makedirs(args.out, exist_ok=True)
+    state, _ = trainer.encoder_forward(enc, views_a)
+    readouts = {
+        "q": state.q,
+        "p": state.p,
+        "qp": np.concatenate([state.q, state.p], axis=1),
+    }
+    pair_rng = np.random.default_rng([cfg["seed"], 1])
+    summary = {"seed": cfg["seed"], "n_train": int(cut), "n_test": int(len(labels) - cut)}
+    for name, feats in readouts.items():
+        sweep = [
+            (k, diagnostics.knn_accuracy(feats[:cut], labels[:cut], feats[cut:], labels[cut:], k))
+            for k in KNN_SWEEP
+            if k <= cut
+        ]
+        diagnostics.write_knn_sweep_csv(sweep, os.path.join(args.out, f"knn_{name}.csv"))
+        report = diagnostics.spectrum_report(feats)
+        diagnostics.write_spectrum_csv(report, os.path.join(args.out, f"spectrum_{name}.csv"))
+        cosine = diagnostics.cosine_norm_stats(feats, 10_000, pair_rng)
+        probe = diagnostics.linear_probe(feats[:cut], labels[:cut], feats[cut:], labels[cut:])
+        summary[name] = {
+            "knn": {str(k): acc for k, acc in sweep},
+            "linear_probe": probe,
+            "effective_rank": report.effective_rank,
+            "participation_ratio": report.participation_ratio,
+            "eigmax_frac": report.eigmax_frac,
+            "cos_mean": cosine.cos_mean,
+            "cos_std": cosine.cos_std,
+            "norm_mean": cosine.norm_mean,
+            "norm_std": cosine.norm_std,
         }
-        pair_rng = np.random.default_rng([cfg["seed"], 1])
-        summary = {"seed": cfg["seed"], "n_train": int(cut), "n_test": int(len(labels) - cut)}
-        for name, feats in readouts.items():
-            sweep = [
-                (k, diagnostics.knn_accuracy(feats[:cut], labels[:cut], feats[cut:], labels[cut:], k))
-                for k in KNN_SWEEP
-                if k <= cut
-            ]
-            diagnostics.write_knn_sweep_csv(sweep, os.path.join(args.out, f"knn_{name}.csv"))
-            report = diagnostics.spectrum_report(feats)
-            diagnostics.write_spectrum_csv(report, os.path.join(args.out, f"spectrum_{name}.csv"))
-            cosine = diagnostics.cosine_norm_stats(feats, 10_000, pair_rng)
-            probe = diagnostics.linear_probe(feats[:cut], labels[:cut], feats[cut:], labels[cut:])
-            summary[name] = {
-                "knn": {str(k): acc for k, acc in sweep},
-                "linear_probe": probe,
-                "effective_rank": report.effective_rank,
-                "participation_ratio": report.participation_ratio,
-                "eigmax_frac": report.eigmax_frac,
-                "cos_mean": cosine.cos_mean,
-                "cos_std": cosine.cos_std,
-                "norm_mean": cosine.norm_mean,
-                "norm_std": cosine.norm_std,
-            }
-        with open(os.path.join(args.out, "summary.json"), "w") as fh:
-            json.dump(_plain(summary), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except (TrainingAbort, FloatingPointError, OSError, ValueError) as exc:
-        print(f"diagnose aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
+        json.dump(_plain(summary), fh, indent=1, sort_keys=True)
+        fh.write("\n")
     print(f"diagnostics written to {args.out}")
     return EXIT_OK
 
@@ -211,8 +201,7 @@ def cmd_slicedemo(args) -> int:
             args.dt, args.horizon, args.samples, np.random.default_rng(seed)
         )
     if not all(np.all(np.isfinite(p.g_values)) for p in profiles.values()):
-        print("slicedemo aborted: non-finite discrepancy profile", file=sys.stderr)
-        return EXIT_ABORT
+        raise FloatingPointError("non-finite discrepancy profile")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "slice_profile.csv")
     diagnostics.write_discrepancy_csv(
@@ -236,18 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--filter", default=None, help="comma-separated check names")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--out", default=None, help="directory for the JSON report")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, label="verify")
 
     p_train = sub.add_parser("train", help="train from a JSON config")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", default=None, help="override the checkpoint directory")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, label="training")
 
     p_diag = sub.add_parser("diagnose", help="frozen-feature diagnostics of a checkpoint")
     p_diag.add_argument("--checkpoint", required=True)
     p_diag.add_argument("--config", required=True)
     p_diag.add_argument("--out", required=True)
-    p_diag.set_defaults(func=cmd_diagnose)
+    p_diag.set_defaults(func=cmd_diagnose, label="diagnose")
 
     p_slice = sub.add_parser("slicedemo", help="directional discrepancy of coarse rollouts")
     p_slice.add_argument("--dt", type=float, required=True)
@@ -255,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slice.add_argument("--samples", type=int, default=4000)
     p_slice.add_argument("--seed", type=int, default=42)
     p_slice.add_argument("--out", required=True)
-    p_slice.set_defaults(func=cmd_slicedemo)
+    p_slice.set_defaults(func=cmd_slicedemo, label="slicedemo")
     return parser
 
 
@@ -267,6 +256,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ABORTS as exc:
+        print(f"{args.label} aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORT
 
 
 if __name__ == "__main__":

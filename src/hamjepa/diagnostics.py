@@ -22,6 +22,9 @@ KNN_ROW_BLOCK = 128
 # accepts; the fine reference rollout takes 100 times as many steps.
 SLICE_DEMO_MAX_STEPS = 10_000
 
+# Angles on [0, pi) at which directional_discrepancy compares projections.
+N_ANGLES = 64
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -181,15 +184,13 @@ def linear_probe(
     return float(np.mean(preds == test_y))
 
 
-def directional_discrepancy(
-    z_model: np.ndarray, z_ref: np.ndarray, n_angles: int = 64
-) -> DiscrepancyProfile:
+def directional_discrepancy(z_model: np.ndarray, z_ref: np.ndarray) -> DiscrepancyProfile:
     """Sliced one-dimensional mismatch between two planar populations.
 
-    For each angle theta on [0, pi) the projections onto u(theta) are
-    compared with the exact empirical 1-d transport distance (mean absolute
-    difference of sorted samples).  Population sizes are equalized by
-    truncation.
+    For each of ``N_ANGLES`` angles theta on [0, pi) the projections onto
+    u(theta) are compared with the exact empirical 1-d transport distance
+    (mean absolute difference of sorted samples).  Population sizes are
+    equalized by truncation.
     """
     z_model = np.asarray(z_model, dtype=np.float64)
     z_ref = np.asarray(z_ref, dtype=np.float64)
@@ -197,8 +198,8 @@ def directional_discrepancy(
         raise ValueError("directional discrepancy expects planar samples")
     n = min(z_model.shape[0], z_ref.shape[0])
     zm, zr = z_model[:n], z_ref[:n]
-    angles = np.pi * np.arange(n_angles) / n_angles
-    g = np.empty(n_angles)
+    angles = np.pi * np.arange(N_ANGLES) / N_ANGLES
+    g = np.empty(N_ANGLES)
     for i, theta in enumerate(angles):
         u = np.array([np.cos(theta), np.sin(theta)])
         pm = np.sort(zm @ u)
@@ -212,7 +213,6 @@ def harmonic_slice_demo(
     horizon: float,
     n_samples: int,
     rng: np.random.Generator,
-    n_angles: int = 64,
 ) -> dict:
     """Directional discrepancy of coarse rollouts on a planar oscillator.
 
@@ -246,8 +246,8 @@ def harmonic_slice_demo(
 
     z_ref = np.concatenate([q_ref, p_ref], axis=1)
     return {
-        "euler": directional_discrepancy(np.concatenate([q_eu, p_eu], axis=1), z_ref, n_angles),
-        "leapfrog": directional_discrepancy(np.concatenate([q_lf, p_lf], axis=1), z_ref, n_angles),
+        "euler": directional_discrepancy(np.concatenate([q_eu, p_eu], axis=1), z_ref),
+        "leapfrog": directional_discrepancy(np.concatenate([q_lf, p_lf], axis=1), z_ref),
     }
 
 

@@ -297,6 +297,9 @@ def maxent_gaussian_entropy_gap(b: GeometryBudget, sigma_alt: SymMatrix) -> floa
 # of covariances), so a check's sample count costs a few numpy calls.
 # ---------------------------------------------------------------------------
 
+# Most polish rounds sampled_worst_case_variance runs after its sampling stage.
+POLISH_ROUNDS = 80
+
 
 def _best_direction(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
     """Row of ``u`` with the largest Rayleigh quotient u' A u / u'u, returned
@@ -311,7 +314,6 @@ def sampled_worst_case_variance(
     h: SPDOperator,
     n_samples: int,
     rng: np.random.Generator,
-    polish_rounds: int = 80,
 ) -> float:
     """Brute-force estimate of the worst-case task variance.
 
@@ -319,8 +321,9 @@ def sampled_worst_case_variance(
     Rayleigh quotient u' A u / u'u with A = H^{1/2} Sigma H^{1/2}, which is
     the variance of the feasible task vector along u; only the winner is
     normalized.  Stage 2 polishes it with derivative-free shrinking Gaussian
-    perturbations, 24 probes a round, scored the same way (still only
-    quadratic-form evaluations, no spectral computation).  Plain sampling
+    perturbations, 24 probes a round for at most ``POLISH_ROUNDS`` rounds,
+    scored the same way (still only quadratic-form evaluations, no spectral
+    computation).  Plain sampling
     alone plateaus around 1e-2 relative error in dimension 6, far from the
     certification tolerances, so the polish stage is required.
     """
@@ -330,7 +333,7 @@ def sampled_worst_case_variance(
 
     step = 0.3
     n_probe = 24
-    for _ in range(polish_rounds):
+    for _ in range(POLISH_ROUNDS):
         cand, cand_val = _best_direction(best + step * rng.standard_normal((n_probe, h.dim)), a)
         if cand_val > best_val:
             best, best_val = cand, cand_val

@@ -369,22 +369,46 @@ def write_layers(prefix: str, kind: str, weights: list, biases: list, **scalars)
 
 
 def read_layers(prefix: str, kind: str) -> tuple[list, list, dict]:
-    """Inverse of write_layers: (weights, biases, sidecar).  A sidecar of
-    another format or kind, or a size mismatch, raises ValueError."""
+    """Inverse of write_layers: (weights, biases, sidecar).  A sidecar that
+    is not a JSON object of this format and kind, whose ``layer_shapes`` is
+    not a nonempty list of positive ``[out, in]`` integer pairs, or whose
+    sizes disagree with the ``.bin`` file, raises ValueError."""
     with open(f"{prefix}.json") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{prefix}.json is not a JSON object")
     if meta.get("format") != FLAT_FORMAT or meta.get("kind") != kind:
         raise ValueError(
             f"{prefix} does not hold a {FLAT_FORMAT} {kind}"
             f" (format={meta.get('format')!r}, kind={meta.get('kind')!r})"
         )
+    shapes = meta.get("layer_shapes")
+    if not (
+        isinstance(shapes, list)
+        and shapes
+        and all(
+            isinstance(shape, list)
+            and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)
+            for shape in shapes
+        )
+    ):
+        raise ValueError(
+            f"{prefix}.json: layer_shapes must be a nonempty list of [out, in] positive integers,"
+            f" got {shapes!r}"
+        )
+    expected = sum(out_d * in_d + out_d for out_d, in_d in shapes)
     with open(f"{prefix}.bin", "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    if flat.size != meta["param_count"]:
-        raise ValueError(f"{prefix}.bin holds {flat.size} values, sidecar says {meta['param_count']}")
+        data = fh.read()
+    if not (len(data) == 8 * expected and meta.get("param_count") == expected):
+        raise ValueError(
+            f"{prefix}.bin holds {len(data)} bytes, its layer_shapes need {expected}"
+            f" float64 values, param_count says {meta.get('param_count')!r}"
+        )
+    flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
     weights, biases = [], []
     pos = 0
-    for out_d, in_d in meta["layer_shapes"]:
+    for out_d, in_d in shapes:
         weights.append(flat[pos : pos + out_d * in_d].reshape(out_d, in_d).copy())
         pos += out_d * in_d
         biases.append(flat[pos : pos + out_d].copy())

@@ -70,10 +70,6 @@ class SPDOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def cholesky(self) -> np.ndarray:
-        """Lower-triangular L with L L^T equal to the operator."""
-        return self._factor
-
     def logdet(self) -> float:
         """log det of the operator, 2 * sum log L_ii of its Cholesky factor."""
         return float(2.0 * np.sum(np.log(np.diag(self._factor))))

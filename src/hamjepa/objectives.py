@@ -285,7 +285,6 @@ def mean_penalty(z_all: np.ndarray) -> tuple[float, np.ndarray]:
 class FloorDiagnostics:
     logdet_per_dim: float
     pr: float
-    pr_norm: float
     eigmax_frac: float
     vol_loss: float
     pr_loss: float
@@ -310,7 +309,7 @@ def projected_logdet_floor(
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     if n < 2:
-        diag = FloorDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        diag = FloorDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return 0.0, diag, np.zeros_like(x)
     k = projection.shape[1]
     centered = x - x.mean(axis=0)
@@ -357,7 +356,7 @@ def projected_logdet_floor(
             g_cov += 2.0 * eig_gap * dfrac_dcov
 
     loss = vol_loss + pr_loss + eig_loss
-    diag = FloorDiagnostics(lvol, pr, pr / k, eigmax_frac, vol_loss, pr_loss, eig_loss)
+    diag = FloorDiagnostics(lvol, pr, eigmax_frac, vol_loss, pr_loss, eig_loss)
 
     dy = y @ (g_cov + g_cov.T) / (n - 1)
     dx = dy @ projection.T

@@ -13,6 +13,7 @@ import pytest
 
 from hamjepa import certify
 from hamjepa.certify import CheckResult
+from hamjepa.trainer import ConfigError
 
 # checks that each take well under a second
 FAST = ["convergence_order", "reversibility", "no_universal_target", "symplectic_factorization",
@@ -65,6 +66,15 @@ def test_dispatch_plan_names_each_check_once_slowest_first():
     assert jobs[0] == ("anti_collapse_training", "headline_gap")
     assert certify.dispatch_plan(["headline_gap", "minimax"]) == [("headline_gap",), ("minimax",)]
     assert certify.dispatch_plan(FAST) == [(n,) for n in FAST]
+
+
+@pytest.mark.parametrize(
+    "names", [["nope"], ["slice_demo", "slice_demo"], ["slice_demo", ""]],
+    ids=["unknown", "repeated", "empty"],
+)
+def test_dispatch_plan_rejects_a_bad_name_as_config_error(names):
+    with pytest.raises(ConfigError):
+        certify.dispatch_plan(names)
 
 
 def test_pool_runs_a_grouped_job_in_one_worker_and_returns_the_order_named(monkeypatch):
@@ -141,6 +151,37 @@ print("ok")
 """
     code, out, err = run_script(script, timeout=120)
     assert (code, out) == (0, "ok\n"), err
+
+
+def test_raising_check_ends_verify_with_exit_1_and_its_traceback():
+    # an exception outside cli.ABORTS is a bug: main lets it through
+    script = RAISING + """
+from hamjepa import cli
+
+cli.main(["verify", "--filter", "convergence_order,broken"])
+"""
+    code, _, err = run_script(script, timeout=60)
+    assert code == 1
+    assert "Traceback" in err and err.rstrip().endswith("ZeroDivisionError: broken at seed 42")
+
+
+def test_check_raising_value_error_aborts_verify_with_exit_3():
+    script = """
+import sys
+
+from hamjepa import certify, cli
+
+def broken(seed):
+    raise ValueError(f"bad value at seed {seed}")
+
+certify.CHECKS["broken"] = broken
+certify.worker_count = lambda n_checks: min(2, n_checks)
+sys.exit(cli.main(["verify", "--filter", "convergence_order,broken"]))
+"""
+    code, out, err = run_script(script, timeout=60)
+    assert code == 3, err
+    assert err == "verify aborted: bad value at seed 42\n"
+    assert out == ""
 
 
 def test_dead_worker_aborts_verify_with_exit_3():

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -504,6 +505,159 @@ def test_env_seed_negative_exit_2(tmp_path, monkeypatch, capsys, command):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "HAMJEPA_SEED" in err and "Traceback" not in err
+
+
+# --- one error contract ---------------------------------------------------------
+# main alone turns an exception into an exit code: a ConfigError exits 2, one
+# of cli.ABORTS exits 3, each with one stderr line and no traceback
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    run = tmp_path_factory.mktemp("run")
+    cfg_path = write_config(run / "cfg.json", TINY)
+    assert main(["train", "--config", cfg_path, "--out", str(run)]) == 0
+    return run / "checkpoint_final", cfg_path
+
+
+def out_is_a_file(command_argv):
+    def build(tmp_path, monkeypatch, trained):
+        (tmp_path / "file").write_text("")
+        return command_argv + ["--out", str(tmp_path / "file")]
+    return build
+
+
+def raising_check(exc_type):
+    def build(tmp_path, monkeypatch, trained):
+        def broken(seed):
+            raise exc_type(f"broken at seed {seed}")
+
+        monkeypatch.setitem(certify.CHECKS, "broken", broken)
+        return ["verify", "--filter", "broken"]
+    return build
+
+
+def train_raises_value_error(tmp_path, monkeypatch, trained):
+    def train(cfg, out_dir=None):
+        raise ValueError("escaped the trainer")
+
+    monkeypatch.setattr(trainer, "train", train)
+    return ["train", "--config", write_config(tmp_path / "cfg.json", TINY)]
+
+
+def edited_sidecar(edit):
+    def build(tmp_path, monkeypatch, trained):
+        ckpt, cfg_path = trained
+        copy = shutil.copytree(ckpt, tmp_path / "ckpt")
+        sidecar = copy / "encoder.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        return ["diagnose", "--checkpoint", str(copy), "--config", cfg_path,
+                "--out", str(tmp_path / "diag")]
+    return build
+
+
+def without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def with_first_shape(shape):
+    return lambda meta: {**meta, "layer_shapes": [shape, *meta["layer_shapes"][1:]]}
+
+
+def list_config_with_env_seed(command):
+    def build(tmp_path, monkeypatch, trained):
+        monkeypatch.setenv("HAMJEPA_SEED", "1")
+        cfg_path = write_config(tmp_path / "cfg.json", [1, 2])
+        if command == "train":
+            return ["train", "--config", cfg_path, "--out", str(tmp_path / "run")]
+        return ["diagnose", "--checkpoint", str(trained[0]), "--config", cfg_path,
+                "--out", str(tmp_path / "diag")]
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, code, prefix",
+    [
+        pytest.param(out_is_a_file(["verify", "--filter", "slice_demo"]), 3, "verify aborted: ",
+                     id="verify-out-is-a-file"),
+        pytest.param(out_is_a_file(["slicedemo", "--dt", "0.3", "--horizon", "1",
+                                    "--samples", "50"]), 3, "slicedemo aborted: ",
+                     id="slicedemo-out-is-a-file"),
+        pytest.param(raising_check(ValueError), 3, "verify aborted: broken at seed 42",
+                     id="check-raises-ValueError"),
+        pytest.param(raising_check(FloatingPointError), 3, "verify aborted: broken at seed 42",
+                     id="check-raises-FloatingPointError"),
+        pytest.param(raising_check(OSError), 3, "verify aborted: broken at seed 42",
+                     id="check-raises-OSError"),
+        pytest.param(raising_check(trainer.TrainingAbort), 3, "verify aborted: broken at seed 42",
+                     id="check-raises-TrainingAbort"),
+        pytest.param(train_raises_value_error, 3, "training aborted: escaped the trainer",
+                     id="train-raises-ValueError"),
+        pytest.param(edited_sidecar(without("layer_shapes")), 3, "diagnose aborted: ",
+                     id="sidecar-without-layer_shapes"),
+        pytest.param(edited_sidecar(without("param_count")), 3, "diagnose aborted: ",
+                     id="sidecar-without-param_count"),
+        pytest.param(edited_sidecar(lambda meta: [1]), 3, "diagnose aborted: ",
+                     id="sidecar-not-an-object"),
+        pytest.param(edited_sidecar(with_first_shape([64, "x"])), 3, "diagnose aborted: ",
+                     id="sidecar-shape-not-an-integer"),
+        pytest.param(list_config_with_env_seed("train"), 2,
+                     "config error: config must be a JSON object", id="train-list-config-env-seed"),
+        pytest.param(list_config_with_env_seed("diagnose"), 2,
+                     "config error: config must be a JSON object",
+                     id="diagnose-list-config-env-seed"),
+    ],
+)
+def test_bad_input_exits_with_one_stderr_line(
+    tmp_path, monkeypatch, capsys, trained, build, code, prefix
+):
+    monkeypatch.setattr(certify, "worker_count", lambda n_jobs: 1)  # a raising check runs here
+    argv = build(tmp_path, monkeypatch, trained)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: {**meta, "layer_shapes": []}, "layer_shapes must be a nonempty list"),
+        (with_first_shape([0, 4]), "layer_shapes must be a nonempty list"),
+        (with_first_shape([True, 4]), "layer_shapes must be a nonempty list"),
+        (lambda meta: {**meta, "layer_shapes": meta["layer_shapes"][:-1]}, "its layer_shapes need"),
+        (lambda meta: {**meta, "param_count": meta["param_count"] + 1}, "param_count says"),
+        (None, "holds [0-9]+ bytes"),
+    ],
+    ids=["empty", "zero", "bool", "one-layer-short", "param_count-off", "bin-truncated"],
+)
+def test_read_layers_rejects_a_bad_sidecar_naming_the_file(tmp_path, trained, edit, message):
+    ckpt = shutil.copytree(trained[0], tmp_path / "ckpt")
+    if edit is None:  # the .bin file loses its last byte
+        weights = ckpt / "encoder.bin"
+        weights.write_bytes(weights.read_bytes()[:-1])
+    else:
+        sidecar = ckpt / "encoder.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    with pytest.raises(ValueError, match=message) as info:
+        trainer.load_encoder(str(ckpt))
+    assert str(ckpt / "encoder") in str(info.value)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures costs 5-8 ms per command, so cmd_verify and
+    # run_checks import it only when they need it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    script = (
+        "import sys, hamjepa.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 # --- process set-up -----------------------------------------------------------

@@ -240,7 +240,7 @@ def test_probe_affine_invariance_at_tiny_ridge():
 
 def test_discrepancy_zero_for_identical_populations():
     z = np.random.default_rng(16).standard_normal((500, 2))
-    prof = directional_discrepancy(z, z.copy(), 32)
+    prof = directional_discrepancy(z, z.copy())
     assert prof.max_g <= 1e-15
 
 
@@ -248,7 +248,7 @@ def test_discrepancy_of_pure_shift():
     rng = np.random.default_rng(17)
     z = rng.standard_normal((2000, 2))
     v = np.array([0.7, -0.2])
-    prof = directional_discrepancy(z + v, z, 64)
+    prof = directional_discrepancy(z + v, z)
     expected = np.abs(np.cos(prof.angles) * v[0] + np.sin(prof.angles) * v[1])
     assert np.abs(prof.g_values - expected).max() <= 1e-12
 
