@@ -35,6 +35,7 @@ from .geomtheory import (
     h_from_sigma,
     maxent_gaussian_entropy_gap,
     minimax_covariance,
+    population_covariance,
     price_of_isotropy,
     sample_feasible_covariance,
     sampled_worst_case_variance,
@@ -109,6 +110,10 @@ TOLERANCES = {
     "roundtrip_rel": 1e-9,
     "whiten_max": 1e-10,
 }
+
+# Covariances check_minimax draws and scores at a time: bounds its (batch, d, d)
+# arrays for any sample count.
+MINIMAX_BATCH = 1_000
 
 
 @dataclass
@@ -353,11 +358,14 @@ def check_minimax(seed: int) -> CheckResult:
         v = worst_case_variance(star, h).value
         worst_rel = max(worst_rel, abs(v - c / d) / (c / d))
 
-        # independent evaluation of sampled alternatives (LAPACK eigensolver)
+        # independent evaluation of sampled alternatives (LAPACK eigensolver),
+        # in batches that draw the stream one 10,000-sample call would
         hroot = np.linalg.cholesky(hmat)
-        samples = sample_feasible_covariance(b, 10_000, rng)
-        vals = np.linalg.eigvalsh(hroot.T @ samples @ hroot)[:, -1]
-        worst_margin = min(worst_margin, float(vals.min()) - (c / d - TOLERANCES["minimax_slack"]))
+        floor = c / d - TOLERANCES["minimax_slack"]
+        for start in range(0, 10_000, MINIMAX_BATCH):
+            samples = sample_feasible_covariance(b, min(MINIMAX_BATCH, 10_000 - start), rng)
+            vals = np.linalg.eigvalsh(hroot.T @ samples @ hroot)[:, -1]
+            worst_margin = min(worst_margin, float(vals.min()) - floor)
     ok = worst_rel <= TOLERANCES["minimax_rel"] and worst_margin >= 0
     return CheckResult(
         "minimax", ok, {"max_value_rel_err": worst_rel, "min_sample_margin": worst_margin}
@@ -472,31 +480,37 @@ def check_gibbs_lift(seed: int) -> CheckResult:
         (SPDOperator(_random_spd(rng, 3)), float(rng.uniform(1.0, 3.0))),
     ]
     for h, c in cases:
-        d = h.dim
-        scale = c / d
-        cov_q_target = scale * spd_inverse(h).entries
-        cov_p_target = scale * np.eye(d)
         q_err, p_err, _ = gibbs_lift_check(GeometryBudget(h, c), n, rng)
         max_norm_errors.append((q_err, p_err))
-
-        eig = np.linalg.eigh(h.entries)
-        q = rng.standard_normal((n, d)) * np.sqrt(scale / eig.eigenvalues)
-        q = q @ eig.eigenvectors.T
-        p = np.sqrt(scale) * rng.standard_normal((n, d))
-        for samples, target in ((q, cov_q_target), (p, cov_p_target)):
-            centered = samples - samples.mean(axis=0)
-            emp = centered.T @ centered / n
-            se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
-            worst_sigma = max(worst_sigma, float((np.abs(emp - target) / se).max()))
-        energy = 0.5 * np.einsum("ni,ij,nj->n", q, h.entries, q) + 0.5 * np.sum(p * p, axis=1)
-        se_e = float(energy.std() / np.sqrt(n))
-        worst_sigma = max(worst_sigma, abs(float(energy.mean()) - c) / se_e)
+        worst_sigma = max(worst_sigma, _gibbs_deviation_sigmas(h, c, n, rng))
     ok = worst_sigma <= TOLERANCES["gibbs_sigmas"]
     return CheckResult(
         "gibbs_lift",
         ok,
         {"worst_deviation_sigmas": worst_sigma, "max_norm_errors": max_norm_errors},
     )
+
+
+def _gibbs_deviation_sigmas(h: SPDOperator, c: float, n: int, rng) -> float:
+    """Largest deviation, in standard errors, of the empirical covariances
+    and mean energy of n fresh draws of the Gibbs law from their targets.
+    Its samples are freed on return, before the next case draws its own."""
+    d = h.dim
+    scale = c / d
+    eig = np.linalg.eigh(h.entries)
+    q = rng.standard_normal((n, d))
+    q *= np.sqrt(scale / eig.eigenvalues)
+    q = q @ eig.eigenvectors.T
+    p = rng.standard_normal((n, d))
+    p *= np.sqrt(scale)
+    worst = 0.0
+    for samples, target in ((q, scale * spd_inverse(h).entries), (p, scale * np.eye(d))):
+        emp = population_covariance(samples)
+        se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
+        worst = max(worst, float((np.abs(emp - target) / se).max()))
+    energy = 0.5 * np.einsum("ni,ij,nj->n", q, h.entries, q) + 0.5 * np.sum(p * p, axis=1)
+    se_e = float(energy.std() / np.sqrt(n))
+    return max(worst, abs(float(energy.mean()) - c) / se_e)
 
 
 def check_joint_spectral(seed: int) -> CheckResult:
@@ -670,9 +684,8 @@ def check_sigreg_calibration(seed: int) -> CheckResult:
     for n in (10_000, 100_000):
         z = rng.standard_normal((n, 8))
         nulls.append(sigreg_value(z, spec, slices))
-    shifted = z.copy()
-    shifted[:, 0] += 3.0
-    loud = sigreg_value(shifted, spec, slices)
+    z[:, 0] += 3.0  # the largest null sample, shifted in place
+    loud = sigreg_value(z, spec, slices)
     ok = max(nulls) <= 5.0 and loud >= 10.0 * nulls[-1]
     return CheckResult(
         "sigreg_calibration", ok, {"nulls": nulls, "shifted": loud, "ratio": loud / nulls[-1]}

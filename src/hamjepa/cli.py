@@ -30,7 +30,9 @@ EXIT_ABORT = 3
 
 # the exceptions that end a command as a runtime abort; any other is a bug
 # and keeps its traceback.  ConfigError is a ValueError: main catches it first.
-ABORTS = (TrainingAbort, FloatingPointError, OSError, ValueError)
+# MemoryError covers numpy's failed allocations, e.g. of a sample count that
+# does not fit in memory.
+ABORTS = (TrainingAbort, FloatingPointError, OSError, ValueError, MemoryError)
 
 
 def _env_seed(default: int) -> int:

@@ -113,18 +113,23 @@ def gibbs_lift_check(
     scale = b.c / d
     eig = sym_eig(SymMatrix(b.h.entries))
     # q ~ N(0, scale * H^{-1}):  q = V diag(sqrt(scale / lambda)) xi
-    q = rng.standard_normal((n_samples, d)) * np.sqrt(scale / eig.eigenvalues)
+    q = rng.standard_normal((n_samples, d))
+    q *= np.sqrt(scale / eig.eigenvalues)
     q = q @ eig.eigenvectors.T
-    p = np.sqrt(scale) * rng.standard_normal((n_samples, d))
+    p = rng.standard_normal((n_samples, d))
+    p *= np.sqrt(scale)
 
-    q_c = q - q.mean(axis=0)
-    p_c = p - p.mean(axis=0)
-    cov_q = q_c.T @ q_c / n_samples
-    cov_p = p_c.T @ p_c / n_samples
-    q_cov_err = float(np.abs(cov_q - scale * spd_inverse(b.h).entries).max())
-    p_cov_err = float(np.abs(cov_p - scale * np.eye(d)).max())
+    q_cov_err = float(np.abs(population_covariance(q) - scale * spd_inverse(b.h).entries).max())
+    p_cov_err = float(np.abs(population_covariance(p) - scale * np.eye(d)).max())
     energy = 0.5 * np.einsum("ni,ij,nj->n", q, b.h.entries, q) + 0.5 * np.sum(p * p, axis=1)
     return q_cov_err, p_cov_err, float(energy.mean())
+
+
+def population_covariance(x: np.ndarray) -> np.ndarray:
+    """Covariance of the rows of ``x`` about their mean, divided by the row
+    count.  The centered copy lives only inside this call."""
+    centered = x - x.mean(axis=0)
+    return centered.T @ centered / x.shape[0]
 
 
 def h_from_sigma(sigma: SPDOperator, c: float) -> SPDOperator:
@@ -192,8 +197,9 @@ def coupling_sample(
     t = float(coupling.predictor[0, 0]) if s.shape[0] else 0.0
     L = cholesky_factor(s)
     z_a = rng.standard_normal((n, s.shape[0])) @ L.T
-    fresh = rng.standard_normal((n, s.shape[0])) @ L.T
-    z_b = t * z_a + np.sqrt(1.0 - t * t) * fresh
+    z_b = rng.standard_normal((n, s.shape[0])) @ L.T  # the fresh draw
+    z_b *= np.sqrt(1.0 - t * t)
+    z_b += t * z_a
     return z_a, z_b
 
 
@@ -293,12 +299,16 @@ def maxent_gaussian_entropy_gap(b: GeometryBudget, sigma_alt: SymMatrix) -> floa
 # Sampling oracles.  These deliberately avoid the spectral route above: task
 # variance is probed by evaluating w' Sigma w on candidate directions, and
 # minimax optimality by evaluating sampled budget-feasible covariances.  Both
-# work on whole batches (one (n, d) array of directions, one (n, d, d) stack
-# of covariances), so a check's sample count costs a few numpy calls.
+# work on batches (an (n, d) array of directions, an (n, d, d) stack of
+# covariances), so a check's sample count costs a few numpy calls.
 # ---------------------------------------------------------------------------
 
 # Most polish rounds sampled_worst_case_variance runs after its sampling stage.
 POLISH_ROUNDS = 80
+
+# Directions per block in sampled_worst_case_variance's sampling stage: bounds
+# its scratch memory (under 1 MB in dimension 8) for any sample count.
+DIRECTION_BLOCK = 4096
 
 
 def _best_direction(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -326,10 +336,20 @@ def sampled_worst_case_variance(
     computation).  Plain sampling
     alone plateaus around 1e-2 relative error in dimension 6, far from the
     certification tolerances, so the polish stage is required.
+
+    Stage 1 draws and scores the directions ``DIRECTION_BLOCK`` at a time.
+    The blocks consume the generator exactly as one (n_samples, d) draw
+    would, and a later block wins only with a strictly larger quotient, so
+    the winner is the first maximizer, as with one draw.
     """
     hroot = spd_sqrt(h).entries
     a = hroot @ sigma.entries @ hroot  # w' Sigma w = u' A u on the unit sphere
-    best, best_val = _best_direction(rng.standard_normal((n_samples, h.dim)), a)
+    best, best_val = None, -np.inf
+    for start in range(0, n_samples, DIRECTION_BLOCK):
+        rows = min(DIRECTION_BLOCK, n_samples - start)
+        cand, cand_val = _best_direction(rng.standard_normal((rows, h.dim)), a)
+        if best is None or cand_val > best_val:
+            best, best_val = cand, cand_val
 
     step = 0.3
     n_probe = 24

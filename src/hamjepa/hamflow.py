@@ -9,8 +9,9 @@ forward and gradient intermediates, from which the reverse pass forms the
 Hessian-vector product and the parameter derivatives of grad V.
 
 All arrays are float64.  Batched states are rows; single states work too.
-The unrolled depth is small (K <= ~8) so every step's record is stored;
-nothing is recomputed in the backward pass.
+The unrolled depth is small (K <= ~8), so a recorded rollout stores every
+step's record and the backward pass recomputes nothing; a rollout that is
+not recorded keeps only the force record its next kick reads.
 """
 
 import json
@@ -267,7 +268,10 @@ class RolloutTape:
 def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: bool = False):
     """K composed leapfrog steps with effective step direction * dt.
 
-    With ``record=True`` also returns the tape for the unrolled reverse pass.
+    With ``record=True`` also returns the tape for the unrolled reverse pass,
+    which holds all K + 1 force records.  Without it each record is dropped
+    once its last kick is taken, so at most one is live and memory does not
+    grow with K.
     """
     q2d, squeeze = _as_batch(state.q)
     p2d, _ = _as_batch(state.p)
@@ -276,7 +280,7 @@ def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: boo
 
     np_err = np.seterr(over="ignore", invalid="ignore")  # blowups are caught below
     try:
-        out = _rollout_loop(net, q2d, p2d, h, spec, records)
+        out = _rollout_loop(net, q2d, p2d, h, spec, records, keep=record)
     finally:
         np.seterr(**np_err)
     q, p = out
@@ -290,18 +294,19 @@ def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: boo
     return result
 
 
-def _rollout_loop(net, q2d, p2d, h, spec, records):
+def _rollout_loop(net, q2d, p2d, h, spec, records, keep):
     records.append(_eval_force(net, q2d))
     q, p = q2d, p2d
     for k in range(spec.steps):
         p_half = p - 0.5 * h * records[-1].grad
         q = q + h * p_half
+        if not keep:
+            records.clear()  # only the tape reads a record after its kick
         try:
-            rec = _eval_force(net, q)  # cached for the next step's first kick
+            records.append(_eval_force(net, q))  # cached for the next step's first kick
         except FloatingPointError as exc:
             raise FloatingPointError(f"rollout step {k}: {exc}") from exc
-        records.append(rec)
-        p = p_half - 0.5 * h * rec.grad
+        p = p_half - 0.5 * h * records[-1].grad
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise FloatingPointError(f"non-finite state at rollout step {k}")
     return q, p

@@ -31,8 +31,10 @@ from .numlin import (
 
 VAR_FLOOR_EPS = 1e-8  # inside the square root of the per-dimension std
 
-# Samples per block in sigreg_statistic: bounds its (knots, block, slices)
-# complex buffer (18 MB at 17 knots and 64 slices) for any sample count.
+# Samples per block in sigreg_statistic and sigreg_value.  It bounds the
+# statistic's (knots, block, slices) complex buffer (18 MB at 17 knots and 64
+# slices), which its gradient pass reads again, for any sample count; the
+# value alone streams the knots through two (block, slices) arrays (2 MB).
 SIGREG_ROW_BLOCK = 1024
 
 
@@ -84,8 +86,9 @@ def default_sigreg_knots(n_knots: int = 17, t_max: float = 4.0):
 class SIGRegSpec:
     """Knots and weights of the sliced-CF statistic.  The knots must be the
     even grid t_j = j t_1, j = 1..T, with t_1 > 0 (as ``default_sigreg_knots``
-    makes them), because ``sigreg_statistic`` takes exp(i t_j y) as the j-th
-    power of exp(i t_1 y).  Weights are normalized to sum to one."""
+    makes them), because ``sigreg_statistic`` and ``sigreg_value`` take
+    exp(i t_j y) as the j-th power of exp(i t_1 y).  Weights are normalized
+    to sum to one."""
 
     knots: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[0])
     weights: np.ndarray = field(default_factory=lambda: default_sigreg_knots()[1])
@@ -364,6 +367,25 @@ def projected_logdet_floor(
     return float(loss), diag, dx
 
 
+def _sigreg_blocks(z) -> tuple:
+    """``z`` as a float64 array, and its row blocks of ``SIGREG_ROW_BLOCK``."""
+    z = np.asarray(z, dtype=np.float64)
+    n, _ = z.shape
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    return z, [slice(start, start + SIGREG_ROW_BLOCK) for start in range(0, n, SIGREG_ROW_BLOCK)]
+
+
+def _sigreg_moments(cf_sum: np.ndarray, n: int, spec: SIGRegSpec) -> tuple:
+    """The statistic, the (knot, slice) sine means and the cosine
+    deviations, from the (knot, slice) sums of exp(i t y) over n samples."""
+    c_hat = cf_sum.real / n  # (T, K)
+    s_hat = cf_sum.imag / n
+    dev_c = c_hat - np.exp(-0.5 * spec.knots**2)[:, None]
+    per_slice = n * np.sum(spec.weights[:, None] * (dev_c**2 + s_hat**2), axis=0)
+    return float(per_slice.mean()), s_hat, dev_c
+
+
 def _sigreg_first_pass(z, spec: SIGRegSpec, slices: np.ndarray) -> tuple:
     """The statistic's first pass over the samples of ``z``, block by block.
 
@@ -373,15 +395,11 @@ def _sigreg_first_pass(z, spec: SIGRegSpec, slices: np.ndarray) -> tuple:
     block's projections into one shared buffer, and that buffer's view of
     the last block's powers.
     """
-    z = np.asarray(z, dtype=np.float64)
-    n, _ = z.shape
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    z, blocks = _sigreg_blocks(z)
     kslices = slices.shape[1]
     n_knots = spec.knots.size
     t1 = spec.knots[0]
-    blocks = [slice(start, start + SIGREG_ROW_BLOCK) for start in range(0, n, SIGREG_ROW_BLOCK)]
-    buffer = np.empty((n_knots, min(n, SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
+    buffer = np.empty((n_knots, min(z.shape[0], SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
 
     def block_powers(rows):
         # exp(i j t_1 y) for j = 1..T, knot-major, over the block's projections
@@ -397,17 +415,36 @@ def _sigreg_first_pass(z, spec: SIGRegSpec, slices: np.ndarray) -> tuple:
     for rows in blocks:
         powers = block_powers(rows)
         cf_sum += powers.sum(axis=1)
-    c_hat = cf_sum.real / n  # (T, K)
-    s_hat = cf_sum.imag / n
-    dev_c = c_hat - np.exp(-0.5 * spec.knots**2)[:, None]
-    per_slice = n * np.sum(spec.weights[:, None] * (dev_c**2 + s_hat**2), axis=0)
-    return float(per_slice.mean()), s_hat, dev_c, blocks, block_powers, powers
+    stat, s_hat, dev_c = _sigreg_moments(cf_sum, z.shape[0], spec)
+    return stat, s_hat, dev_c, blocks, block_powers, powers
 
 
 def sigreg_value(z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray) -> float:
-    """The value of ``sigreg_statistic`` alone, bitwise: its first pass,
-    without the gradient's second pass or its (n, d) array."""
-    return _sigreg_first_pass(z, spec, slices)[0]
+    """The value of ``sigreg_statistic`` alone, bitwise, without its
+    gradient or its (knots, block, slices) buffer.
+
+    Each power of a row block is added to the (knot, slice) sums as soon as
+    it is formed, with the same products and sums as the statistic's first
+    pass, so only two (block, slices) complex arrays are live: 2 MB at 64
+    slices, for any sample count and any number of knots.
+    """
+    z, blocks = _sigreg_blocks(z)
+    kslices = slices.shape[1]
+    t1 = spec.knots[0]
+    cf_sum = np.zeros((spec.knots.size, kslices), dtype=np.complex128)
+    first = np.empty((min(z.shape[0], SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
+    power = np.empty_like(first)
+    for rows in blocks:
+        ty = t1 * (z[rows] @ slices)
+        first_b, power_b = first[: ty.shape[0]], power[: ty.shape[0]]
+        np.cos(ty, out=first_b.real)
+        np.sin(ty, out=first_b.imag)
+        power_b[...] = first_b
+        for j in range(spec.knots.size):
+            if j:
+                np.multiply(power_b, first_b, out=power_b)
+            cf_sum[j] += power_b.sum(axis=0)
+    return _sigreg_moments(cf_sum, z.shape[0], spec)[0]
 
 
 def sigreg_statistic(

@@ -414,6 +414,35 @@ def test_diagnose_foreign_encoder_sidecar_exit_3(tmp_path, capsys):
     assert "encoder" in err and "Traceback" not in err
 
 
+def _address_space_limit():
+    import resource
+
+    limit = 4 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("command", ["slicedemo", "train"])
+def test_failed_allocation_aborts_exit_3(tmp_path, command):
+    # each size asks for more than a 128 TiB address space holds, and the
+    # child runs under a 4 GiB address-space limit, so no host can start the
+    # allocation, however it overcommits memory
+    if command == "slicedemo":
+        argv = ["slicedemo", "--dt", "0.3", "--horizon", "1", "--samples", str(10**13)]
+    else:  # its labels alone are 10^14 int64 values
+        cfg = write_config(tmp_path / "cfg.json", {"seed": 1, "data": {"n_samples": 10**14}})
+        argv = ["train", "--config", cfg]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamjepa.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, preexec_fn=_address_space_limit, timeout=120,
+    )
+    abort = "slicedemo aborted" if command == "slicedemo" else "training aborted"
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 3, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"{abort}: Unable to allocate"), proc.stderr
+
+
 def test_slicedemo_contract(tmp_path, capsys):
     code = main(
         ["slicedemo", "--dt", "0.3", "--horizon", "3", "--samples", "500",

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hamjepa import geomtheory
 from hamjepa.geomtheory import (
+    DIRECTION_BLOCK,
     GaussianCoupling,
     GeometryBudget,
     adversarial_geometry,
@@ -21,7 +25,7 @@ from hamjepa.geomtheory import (
     whiten,
     worst_case_variance,
 )
-from hamjepa.numlin import SPDOperator, SymMatrix, cholesky_factor, sym_eig
+from hamjepa.numlin import SPDOperator, SymMatrix, cholesky_factor, spd_inverse, spd_sqrt, sym_eig
 
 
 def random_spd(rng, d, shift=1.0):
@@ -78,6 +82,53 @@ def test_sampled_worst_case_variance_matches_top_eigenvalue(d):
     sampled = sampled_worst_case_variance(sigma, SPDOperator(hmat), 100_000, rng)
     assert sampled <= exact * (1 + 1e-12)
     assert abs(exact - sampled) / exact <= 2e-3
+
+
+def _one_draw_worst_case_variance(sigma, h, n_samples, rng):
+    """sampled_worst_case_variance as it was before its sampling stage went
+    in blocks: all n_samples directions in one draw, scored at once."""
+    hroot = spd_sqrt(h).entries
+    a = hroot @ sigma.entries @ hroot
+    best, best_val = geomtheory._best_direction(rng.standard_normal((n_samples, h.dim)), a)
+    step = 0.3
+    for _ in range(geomtheory.POLISH_ROUNDS):
+        probes = best + step * rng.standard_normal((24, h.dim))
+        cand, cand_val = geomtheory._best_direction(probes, a)
+        if cand_val > best_val:
+            best, best_val = cand, cand_val
+        else:
+            step *= 0.7
+        if step < 1e-8:
+            break
+    return best_val
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize(
+    "n", [1, DIRECTION_BLOCK - 1, DIRECTION_BLOCK, DIRECTION_BLOCK + 1, 100_000]
+)
+def test_sampled_worst_case_variance_blocks_match_one_draw_bitwise(n, d):
+    rng = np.random.default_rng(300 + d)
+    sigma = SymMatrix(random_spd(rng, d, 0.2))
+    h = SPDOperator(random_spd(rng, d, 0.5))
+    blocked, one_draw = np.random.default_rng(n), np.random.default_rng(n)
+    assert sampled_worst_case_variance(sigma, h, n, blocked) == _one_draw_worst_case_variance(
+        sigma, h, n, one_draw
+    )
+    assert blocked.bit_generator.state == one_draw.bit_generator.state
+
+
+def test_sampled_worst_case_variance_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(9)
+    sigma = SymMatrix(random_spd(rng, 8, 0.2))
+    h = SPDOperator(random_spd(rng, 8, 0.5))
+    tracemalloc.start()
+    try:
+        sampled_worst_case_variance(sigma, h, 100_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20  # one (100000, 8) draw alone is 6.4 MB
 
 
 def test_worst_case_variance_dim_mismatch():
@@ -235,6 +286,27 @@ def test_gibbs_lift_errors_shrink_with_samples():
     assert p2 < p1 * 0.6
 
 
+def test_gibbs_lift_check_matches_the_direct_expressions_bitwise():
+    b = GeometryBudget(SPDOperator(random_spd(np.random.default_rng(11), 3)), 2.5)
+    got = gibbs_lift_check(b, 20_000, np.random.default_rng(12))
+    # the sampler's expressions with out-of-place products and both centered copies
+    rng, n, d, scale = np.random.default_rng(12), 20_000, 3, 2.5 / 3
+    eig = sym_eig(SymMatrix(b.h.entries))
+    q = rng.standard_normal((n, d)) * np.sqrt(scale / eig.eigenvalues)
+    q = q @ eig.eigenvectors.T
+    p = np.sqrt(scale) * rng.standard_normal((n, d))
+    q_c = q - q.mean(axis=0)
+    p_c = p - p.mean(axis=0)
+    cov_q = q_c.T @ q_c / n
+    cov_p = p_c.T @ p_c / n
+    energy = 0.5 * np.einsum("ni,ij,nj->n", q, b.h.entries, q) + 0.5 * np.sum(p * p, axis=1)
+    assert got == (
+        float(np.abs(cov_q - scale * spd_inverse(b.h).entries).max()),
+        float(np.abs(cov_p - scale * np.eye(d)).max()),
+        float(energy.mean()),
+    )
+
+
 def test_gibbs_lift_rejects_small_samples():
     with pytest.raises(ValueError):
         gibbs_lift_check(GeometryBudget(SPDOperator(np.eye(2)), 1.0), 100, np.random.default_rng(0))
@@ -339,6 +411,17 @@ def test_coupling_slope_recovered_from_samples():
     z_a, z_b = coupling_sample(c, 100_000, np.random.default_rng(7))
     slope = float(np.sum(z_a * z_b) / np.sum(z_a * z_a))
     assert abs(slope - 0.5) <= 0.02
+
+
+@pytest.mark.parametrize("t", [-0.9, 0.0, 0.5, 0.9])
+def test_coupling_sample_matches_the_direct_expression_bitwise(t):
+    c = gaussian_coupling(SPDOperator(random_spd(np.random.default_rng(13), 2, 0.5)), t)
+    z_a, z_b = coupling_sample(c, 10_000, np.random.default_rng(14))
+    rng, chol = np.random.default_rng(14), cholesky_factor(c.sigma.entries)
+    ref_a = rng.standard_normal((10_000, 2)) @ chol.T
+    fresh = rng.standard_normal((10_000, 2)) @ chol.T
+    ref_b = t * ref_a + np.sqrt(1.0 - t * t) * fresh
+    assert z_a.tobytes() == ref_a.tobytes() and z_b.tobytes() == ref_b.tobytes()
 
 
 def test_coupling_near_unit_strength_still_definite():

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -501,6 +502,35 @@ def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, depth, batc
     assert _same_bits(out.q, ref_out.q) and _same_bits(out.p, ref_out.p)
     assert _same_bits(dq, ref_dq) and _same_bits(dp, ref_dp)
     assert _same_grads(grads, ref_grads)
+
+
+def _rollout_problem(batch):
+    net = init_potential(4, np.random.default_rng(20), hidden_dim=64, depth=2, alpha=2.0, scale=2.0)
+    rng = np.random.default_rng(21)
+    return net, PhaseState(rng.standard_normal((batch, 4)), rng.standard_normal((batch, 4)))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 8])
+def test_unrecorded_rollout_ends_in_the_recorded_state(steps):
+    net, state = _rollout_problem(64)
+    spec = RolloutSpec(0.1, steps, -1)
+    out = rollout(net, state, spec)
+    recorded, tape = rollout(net, state, spec, record=True)
+    assert _same_bits(out.q, recorded.q) and _same_bits(out.p, recorded.p)
+    assert len(tape.records) == steps + 1
+
+
+def test_unrecorded_rollout_memory_does_not_grow_with_steps():
+    net, state = _rollout_problem(2048)
+    peaks = {}
+    for steps in (2, 8):
+        tracemalloc.start()
+        try:
+            rollout(net, state, RolloutSpec(0.1, steps, 1))
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.05 * peaks[2]
 
 
 def test_param_gradients_requires_matching_tape():

@@ -489,6 +489,20 @@ def test_sigreg_memory_is_bounded_by_the_row_block():
     assert peak <= 64 * 2**20
 
 
+def test_sigreg_value_memory_is_bounded_by_two_block_arrays():
+    spec = SIGRegSpec()
+    slices = unit_slices(RNG(35), 8, 64)
+    z = RNG(36).standard_normal((100_000, 8))
+    tracemalloc.start()
+    try:
+        sigreg_value(z, spec, slices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two (1024, 64) complex arrays are 2 MB; the statistic's buffer is 18 MB
+    assert peak <= 4 * 2**20
+
+
 # --- caches ----------------------------------------------------------------------
 
 
