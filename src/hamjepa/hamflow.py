@@ -8,6 +8,11 @@ second derivatives of V: each force evaluation keeps a record of its
 forward and gradient intermediates, from which the reverse pass forms the
 Hessian-vector product and the parameter derivatives of grad V.
 
+One leapfrog loop, ``_leapfrog``, steps a potential.  ``rollout`` returns
+its final state (and, recorded, the tape of its force records);
+``energy_path`` returns H along it, with V read from the record each step
+has already evaluated.  ``RolloutSpec.dt`` carries the step's sign.
+
 All arrays are float64.  Batched states are rows; single states work too.
 The unrolled depth is small (K <= ~8), so a recorded rollout stores every
 step's record and the backward pass recomputes nothing; a rollout that is
@@ -69,17 +74,16 @@ class PotentialNet:
 
 @dataclass(frozen=True)
 class RolloutSpec:
+    """``steps`` leapfrog steps of size ``dt``; a negative dt steps backward."""
+
     dt: float = 0.1
     steps: int = 1
-    direction: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt != 0):
+            raise ValueError("dt must be finite and nonzero")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
 
 
 @dataclass
@@ -223,19 +227,6 @@ def potential_eval(net: PotentialNet, q) -> tuple[np.ndarray, np.ndarray, ForceR
     return rec.value, rec.grad, rec
 
 
-def hamiltonian_energy(net: PotentialNet, state: PhaseState):
-    """H(q, p) = 0.5 |p|^2 + V(q)."""
-    q2d, squeeze = _as_batch(state.q)
-    p2d, _ = _as_batch(state.p)
-    value = 0.5 * np.sum(p2d * p2d, axis=1) + _eval_force(net, q2d).value
-    return float(value[0]) if squeeze else value
-
-
-def leapfrog_step(net: PotentialNet, state: PhaseState, dt: float) -> PhaseState:
-    """One half-kick / drift / half-kick update with step dt (sign allowed)."""
-    return rollout(net, state, RolloutSpec(abs(dt), 1, 1 if dt > 0 else -1))
-
-
 class RolloutTape:
     """Stored force records of a recorded rollout, for the reverse pass."""
 
@@ -265,8 +256,32 @@ class RolloutTape:
         return q_bar, p_bar, grads
 
 
+def _leapfrog(net: PotentialNet, q, p, h: float, steps: int):
+    """Yields (q, p, force record at q) for the start state and after each
+    of ``steps`` half-kick / drift / half-kick updates of size h.
+
+    Each record serves both kicks around its q, so a step evaluates the
+    force once.  A consumer that keeps no records must drop the one it was
+    given before asking for the next, or two are live during an evaluation.
+    """
+    rec = _eval_force(net, q)
+    for k in range(steps):
+        yield q, p, rec
+        p_half = p - 0.5 * h * rec.grad
+        q = q + h * p_half
+        del rec  # only the tape reads a record after its kick
+        try:
+            rec = _eval_force(net, q)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"rollout step {k}: {exc}") from exc
+        p = p_half - 0.5 * h * rec.grad
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise FloatingPointError(f"non-finite state at rollout step {k}")
+    yield q, p, rec
+
+
 def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: bool = False):
-    """K composed leapfrog steps with effective step direction * dt.
+    """K composed leapfrog steps of size dt.
 
     With ``record=True`` also returns the tape for the unrolled reverse pass,
     which holds all K + 1 force records.  Without it each record is dropped
@@ -275,41 +290,33 @@ def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: boo
     """
     q2d, squeeze = _as_batch(state.q)
     p2d, _ = _as_batch(state.p)
-    h = spec.direction * spec.dt
     records = []
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups are caught in _leapfrog
+        for q, p, rec in _leapfrog(net, q2d, p2d, spec.dt, spec.steps):
+            if record:
+                records.append(rec)
+            del rec  # else it stays live through the next force evaluation
 
-    np_err = np.seterr(over="ignore", invalid="ignore")  # blowups are caught below
-    try:
-        out = _rollout_loop(net, q2d, p2d, h, spec, records, keep=record)
-    finally:
-        np.seterr(**np_err)
-    q, p = out
-
-    if squeeze:
-        result = PhaseState(q[0], p[0])
-    else:
-        result = PhaseState(q, p)
+    result = PhaseState(q[0], p[0]) if squeeze else PhaseState(q, p)
     if record:
-        return result, RolloutTape(net, h, records)
+        return result, RolloutTape(net, spec.dt, records)
     return result
 
 
-def _rollout_loop(net, q2d, p2d, h, spec, records, keep):
-    records.append(_eval_force(net, q2d))
-    q, p = q2d, p2d
-    for k in range(spec.steps):
-        p_half = p - 0.5 * h * records[-1].grad
-        q = q + h * p_half
-        if not keep:
-            records.clear()  # only the tape reads a record after its kick
-        try:
-            records.append(_eval_force(net, q))  # cached for the next step's first kick
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"rollout step {k}: {exc}") from exc
-        p = p_half - 0.5 * h * records[-1].grad
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise FloatingPointError(f"non-finite state at rollout step {k}")
-    return q, p
+def energy_path(net: PotentialNet, state: PhaseState, spec: RolloutSpec) -> np.ndarray:
+    """H = 0.5 |p|^2 + V(q) at the K + 1 states of ``rollout(net, state, spec)``,
+    start state first: shape (K + 1,) for a single state, (K + 1, B) for a
+    batch.  V is read from each step's own force record."""
+    q2d, squeeze = _as_batch(state.q)
+    p2d, _ = _as_batch(state.p)
+    energy = np.empty((spec.steps + 1, q2d.shape[0]))
+    k = 0  # not enumerate, whose reused result tuple would hold the last record
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups are caught in _leapfrog
+        for _, p, rec in _leapfrog(net, q2d, p2d, spec.dt, spec.steps):
+            energy[k] = 0.5 * np.sum(p * p, axis=1) + rec.value
+            k += 1
+            del rec
+    return energy[:, 0] if squeeze else energy
 
 
 def flow_jacobian_fd(

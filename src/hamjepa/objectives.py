@@ -210,7 +210,7 @@ def prediction_loss(
             fwd, fwd, 0.0, PhaseState(da_q, da_p), PhaseState(db_q, db_p), grads
         )
 
-    back_spec = RolloutSpec(spec.dt, spec.steps, -spec.direction)
+    back_spec = RolloutSpec(-spec.dt, spec.steps)
     bwd, db_q2, db_p2, da_q2, da_p2, grads2 = _direction_loss(net, s_b, s_a, back_spec, match)
     for g in (grads, grads2):
         for a in g.d_weights + g.d_biases:
@@ -386,39 +386,6 @@ def _sigreg_moments(cf_sum: np.ndarray, n: int, spec: SIGRegSpec) -> tuple:
     return float(per_slice.mean()), s_hat, dev_c
 
 
-def _sigreg_first_pass(z, spec: SIGRegSpec, slices: np.ndarray) -> tuple:
-    """The statistic's first pass over the samples of ``z``, block by block.
-
-    Returns (stat, s_hat, dev_c, blocks, block_powers, powers): the
-    statistic, the (knot, slice) sine means and cosine deviations, the row
-    blocks, ``block_powers(rows)``, which writes exp(i j t_1 y) for a
-    block's projections into one shared buffer, and that buffer's view of
-    the last block's powers.
-    """
-    z, blocks = _sigreg_blocks(z)
-    kslices = slices.shape[1]
-    n_knots = spec.knots.size
-    t1 = spec.knots[0]
-    buffer = np.empty((n_knots, min(z.shape[0], SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
-
-    def block_powers(rows):
-        # exp(i j t_1 y) for j = 1..T, knot-major, over the block's projections
-        ty = t1 * (z[rows] @ slices)
-        powers = buffer[:, : ty.shape[0]]
-        np.cos(ty, out=powers[0].real)
-        np.sin(ty, out=powers[0].imag)
-        for j in range(1, n_knots):
-            np.multiply(powers[j - 1], powers[0], out=powers[j])
-        return powers
-
-    cf_sum = np.zeros((n_knots, kslices), dtype=np.complex128)
-    for rows in blocks:
-        powers = block_powers(rows)
-        cf_sum += powers.sum(axis=1)
-    stat, s_hat, dev_c = _sigreg_moments(cf_sum, z.shape[0], spec)
-    return stat, s_hat, dev_c, blocks, block_powers, powers
-
-
 def sigreg_value(z: np.ndarray, spec: SIGRegSpec, slices: np.ndarray) -> float:
     """The value of ``sigreg_statistic`` alone, bitwise, without its
     gradient or its (knots, block, slices) buffer.
@@ -471,13 +438,33 @@ def sigreg_statistic(
     cos and sin of every t_j y, is kept as the reference in the tests; the
     two agree to rounding.
     """
-    stat, s_hat, dev_c, blocks, block_powers, powers = _sigreg_first_pass(z, spec, slices)
-    n_knots, kslices = s_hat.shape
+    z, blocks = _sigreg_blocks(z)
+    kslices = slices.shape[1]
+    n_knots = spec.knots.size
+    t1 = spec.knots[0]
+    buffer = np.empty((n_knots, min(z.shape[0], SIGREG_ROW_BLOCK), kslices), dtype=np.complex128)
+
+    def block_powers(rows):
+        # exp(i j t_1 y) for j = 1..T, knot-major, over the block's projections
+        ty = t1 * (z[rows] @ slices)
+        powers = buffer[:, : ty.shape[0]]
+        np.cos(ty, out=powers[0].real)
+        np.sin(ty, out=powers[0].imag)
+        for j in range(1, n_knots):
+            np.multiply(powers[j - 1], powers[0], out=powers[j])
+        return powers
+
+    cf_sum = np.zeros((n_knots, kslices), dtype=np.complex128)
+    for rows in blocks:
+        powers = block_powers(rows)
+        cf_sum += powers.sum(axis=1)
+    stat, s_hat, dev_c = _sigreg_moments(cf_sum, z.shape[0], spec)
+
     # The float view of the powers alternates (cos, sin) along its last
     # axis, so each slice gets the weight pair (s_hat, -dev_c).
     wt = (2.0 / kslices) * (spec.weights * spec.knots)[:, None]
     pair_weights = np.stack([wt * s_hat, -wt * dev_c], axis=-1).reshape(n_knots, 2 * kslices)
-    grad = np.empty(np.shape(z))
+    grad = np.empty(z.shape)
     # backwards, so the last block's powers from the first pass are reused
     for rows in reversed(blocks):
         if rows is not blocks[-1]:

@@ -706,7 +706,7 @@ def _build_settings(cfg: dict) -> HamjepaStepSettings:
         )
 
     return HamjepaStepSettings(
-        rollout=RolloutSpec(hj["dt"], hj["steps"], 1),
+        rollout=RolloutSpec(hj["dt"], hj["steps"]),
         match=MatchSpec(
             mode=loss["match"],
             p_weight=loss["p_weight"],
@@ -773,9 +773,9 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     """
     cfg = validate_config(cfg)
     out_dir = out_dir or cfg["train"]["ckpt_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     rngs = seed_streams(cfg["seed"])
     views_a, views_b, labels, _ = run_views(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # after the data, so a failed draw leaves no directory
     n, obs_dim = views_a.shape
 
     model = cfg["model"]

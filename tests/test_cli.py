@@ -441,6 +441,7 @@ def test_failed_allocation_aborts_exit_3(tmp_path, command):
     lines = proc.stderr.splitlines()
     assert proc.returncode == 3, proc.stderr
     assert len(lines) == 1 and lines[0].startswith(f"{abort}: Unable to allocate"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_slicedemo_contract(tmp_path, capsys):

@@ -13,10 +13,9 @@ from hamjepa.hamflow import (
     PotentialGrads,
     PotentialNet,
     RolloutSpec,
+    energy_path,
     flow_jacobian_fd,
-    hamiltonian_energy,
     init_potential,
-    leapfrog_step,
     load_potential,
     potential_eval,
     rollout,
@@ -79,14 +78,14 @@ def test_potential_nonfinite_fatal_names_layer():
 
 def test_energy_kinetic_only():
     net = free_net(2)
-    e = hamiltonian_energy(net, PhaseState(np.zeros(2), np.array([3.0, 4.0])))
-    assert abs(e - 12.5) < 1e-14
+    e = energy_path(net, PhaseState(np.zeros(2), np.array([3.0, 4.0])), RolloutSpec(0.1, 1))
+    assert abs(e[0] - 12.5) < 1e-14
 
 
 def test_energy_potential_only():
     net = quadratic_net(2)
-    e = hamiltonian_energy(net, PhaseState(np.array([1.0, 0.0]), np.zeros(2)))
-    assert abs(e - 0.5) < 1e-14
+    e = energy_path(net, PhaseState(np.array([1.0, 0.0]), np.zeros(2)), RolloutSpec(0.1, 1))
+    assert abs(e[0] - 0.5) < 1e-14
 
 
 def test_energy_is_sum_of_parts():
@@ -95,7 +94,24 @@ def test_energy_is_sum_of_parts():
     st = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
     v, _, _ = potential_eval(net, st.q)
     t = 0.5 * np.sum(st.p**2)
-    assert hamiltonian_energy(net, st) == t + v
+    assert energy_path(net, st, RolloutSpec(0.1, 1))[0] == t + v
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("dt", [0.07, -0.07])
+def test_energy_path_matches_potential_eval_along_the_rollout_bitwise(batched, dt):
+    net = init_potential(3, np.random.default_rng(3), hidden_dim=8, depth=2, alpha=0.6, scale=0.9)
+    rng = np.random.default_rng(4)
+    shape = (5, 3) if batched else (3,)
+    st = PhaseState(rng.standard_normal(shape), rng.standard_normal(shape))
+    for steps in range(1, 6):
+        energy = energy_path(net, st, RolloutSpec(dt, steps))
+        assert energy.shape == ((steps + 1, 5) if batched else (steps + 1,))
+        for k in range(steps + 1):
+            state = st if k == 0 else rollout(net, st, RolloutSpec(dt, k))
+            q2d, p2d = np.atleast_2d(state.q), np.atleast_2d(state.p)
+            expect = 0.5 * np.sum(p2d * p2d, axis=1) + potential_eval(net, q2d)[0]
+            assert _same_bits(energy[k], expect if batched else expect[0])
 
 
 # --- single steps ------------------------------------------------------------
@@ -103,7 +119,7 @@ def test_energy_is_sum_of_parts():
 
 def test_leapfrog_hand_arithmetic():
     net = quadratic_net(1)
-    out = leapfrog_step(net, PhaseState(np.array([1.0]), np.array([0.0])), 0.1)
+    out = rollout(net, PhaseState(np.array([1.0]), np.array([0.0])), RolloutSpec(0.1, 1))
     # p_half = -0.05, q1 = 0.995, p1 = -0.09975
     assert abs(out.q[0] - 0.995) < 1e-15
     assert abs(out.p[0] - (-0.09975)) < 1e-15
@@ -112,16 +128,16 @@ def test_leapfrog_hand_arithmetic():
 def test_leapfrog_free_particle():
     net = free_net(2)
     st = PhaseState(np.array([1.0, -1.0]), np.array([0.5, 2.0]))
-    out = leapfrog_step(net, st, 0.3)
+    out = rollout(net, st, RolloutSpec(0.3, 1))
     assert np.allclose(out.q, st.q + 0.3 * st.p)
     assert np.allclose(out.p, st.p)
 
 
-def test_leapfrog_step_inverts_with_negated_dt():
+def test_leapfrog_inverts_with_negated_dt():
     net = init_potential(3, np.random.default_rng(8), hidden_dim=16, depth=2, alpha=1.0, scale=0.8)
     rng = np.random.default_rng(9)
     st = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
-    back = leapfrog_step(net, leapfrog_step(net, st, 0.1), -0.1)
+    back = rollout(net, rollout(net, st, RolloutSpec(0.1, 1)), RolloutSpec(-0.1, 1))
     assert np.abs(back.q - st.q).max() <= 1e-12
     assert np.abs(back.p - st.p).max() <= 1e-12
 
@@ -139,20 +155,17 @@ def test_rollout_single_step_reduces_to_step():
             p_half = p - 0.5 * dt * potential_eval(net, q)[1]
             q_new = q + dt * p_half
             p_new = p_half - 0.5 * dt * potential_eval(net, q_new)[1]
-            one = leapfrog_step(net, PhaseState(q, p), dt)
-            spec = RolloutSpec(abs(dt), 1, 1 if dt > 0 else -1)
-            out = rollout(net, PhaseState(q, p), spec)
-            for state in (one, out):
-                assert np.array_equal(state.q, q_new)
-                assert np.array_equal(state.p, p_new)
+            out = rollout(net, PhaseState(q, p), RolloutSpec(dt, 1))
+            assert np.array_equal(out.q, q_new)
+            assert np.array_equal(out.p, p_new)
 
 
 def test_rollout_reversibility():
     net = init_potential(3, np.random.default_rng(11), hidden_dim=16, depth=2, alpha=1.0, scale=0.7)
     rng = np.random.default_rng(12)
     st = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
-    fwd = rollout(net, st, RolloutSpec(0.1, 2, 1))
-    back = rollout(net, fwd, RolloutSpec(0.1, 2, -1))
+    fwd = rollout(net, st, RolloutSpec(0.1, 2))
+    back = rollout(net, fwd, RolloutSpec(-0.1, 2))
     assert np.abs(back.q - st.q).max() <= 1e-11
     assert np.abs(back.p - st.p).max() <= 1e-11
 
@@ -160,10 +173,10 @@ def test_rollout_reversibility():
 def test_rollout_harmonic_oscillator_accuracy():
     net = quadratic_net(1)
     st = PhaseState(np.array([1.0]), np.array([0.0]))
-    out = rollout(net, st, RolloutSpec(0.01, 100, 1))
+    out = rollout(net, st, RolloutSpec(0.01, 100))
     err = np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0))
     assert err <= 2.0 * 0.01**2  # within O(dt^2) of the closed form
-    out_half = rollout(net, st, RolloutSpec(0.005, 200, 1))
+    out_half = rollout(net, st, RolloutSpec(0.005, 200))
     err_half = np.hypot(out_half.q[0] - np.cos(1.0), out_half.p[0] + np.sin(1.0))
     assert 3.0 <= err / err_half <= 5.0
 
@@ -174,7 +187,7 @@ def test_rollout_convergence_order_two():
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = []
     for dt in dts:
-        out = rollout(net, st, RolloutSpec(dt, round(1.0 / dt), 1))
+        out = rollout(net, st, RolloutSpec(dt, round(1.0 / dt)))
         errs.append(np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.1
@@ -185,7 +198,7 @@ def test_rollout_nonfinite_reports_step():
     net = quadratic_net(1, alpha=1e8)
     st = PhaseState(np.array([1.0]), np.array([0.0]))
     with pytest.raises(FloatingPointError, match="step"):
-        rollout(net, st, RolloutSpec(10.0, 50, 1))
+        rollout(net, st, RolloutSpec(10.0, 50))
 
 
 def _potential3():
@@ -223,7 +236,7 @@ def _step_in_message(exc):
 def test_rollout_nonfinite_weights_raise_at_pinned_step(where, value):
     net = _poisoned_net(where, value)
     with pytest.raises(FloatingPointError) as info:
-        rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3, 1), record=True)
+        rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3), record=True)
     assert _step_in_message(info.value) is None
 
 
@@ -231,7 +244,7 @@ def test_rollout_saturating_inf_bias_stays_finite():
     # tanh(+inf) = 1 and its derivative is 0, so an infinite first-layer
     # bias leaves every value and gradient finite
     net = _poisoned_net(("b", 0), np.inf)
-    out, tape = rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3, 1), record=True)
+    out, tape = rollout(net, _FINITE_STATE, RolloutSpec(0.1, 3), record=True)
     assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
     dq, dp, _ = tape.backward(np.ones((4, 3)), np.ones((4, 3)))
     assert np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))
@@ -272,19 +285,26 @@ def test_rollout_overflow_names_the_step(state, dt, steps, step):
         net = _potential3()
         st = PhaseState(_FINITE_STATE.q, _FINITE_STATE.p * 1e307)
     with pytest.raises(FloatingPointError) as info:
-        rollout(net, st, RolloutSpec(dt, steps, 1))
+        rollout(net, st, RolloutSpec(dt, steps))
     assert _step_in_message(info.value) == step
 
 
 def test_rollout_spec_validation():
+    for dt in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            RolloutSpec(dt, 1)
     with pytest.raises(ValueError):
-        RolloutSpec(0.0, 1, 1)
-    with pytest.raises(ValueError):
-        RolloutSpec(-0.1, 1, 1)
-    with pytest.raises(ValueError):
-        RolloutSpec(0.1, 0, 1)
-    with pytest.raises(ValueError):
-        RolloutSpec(0.1, 1, 2)
+        RolloutSpec(0.1, 0)
+    # a negative dt is a backward step, with the bits of the step
+    # h = direction * dt for direction -1 and dt 0.1
+    net = init_potential(2, np.random.default_rng(10), hidden_dim=8, depth=2, alpha=0.9, scale=0.4)
+    q, p = np.array([0.2, 0.5]), np.array([-0.3, 0.8])
+    h = -1 * 0.1
+    p_half = p - 0.5 * h * potential_eval(net, q)[1]
+    q_new = q + h * p_half
+    p_new = p_half - 0.5 * h * potential_eval(net, q_new)[1]
+    out = rollout(net, PhaseState(q, p), RolloutSpec(-0.1, 1))
+    assert np.array_equal(out.q, q_new) and np.array_equal(out.p, p_new)
 
 
 # --- FD Jacobian and symplecticity -------------------------------------------
@@ -294,7 +314,7 @@ def test_jacobian_free_particle_is_shear():
     net = free_net(2)
     st = PhaseState(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     dt = 0.13
-    jac = flow_jacobian_fd(net, st, RolloutSpec(dt, 1, 1), 1e-5)
+    jac = flow_jacobian_fd(net, st, RolloutSpec(dt, 1), 1e-5)
     expect = np.block(
         [[np.eye(2), dt * np.eye(2)], [np.zeros((2, 2)), np.eye(2)]]
     )
@@ -310,7 +330,7 @@ def test_jacobian_symplectic_and_volume_preserving():
             alpha=float(rng.uniform(0.2, 1.5)), scale=float(rng.uniform(0, 1)),
         )
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        spec = RolloutSpec(float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 4)), 1)
+        spec = RolloutSpec(float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 4)))
         jac = flow_jacobian_fd(net, st, spec, 1e-5)
         J = symplectic_form(d0)
         assert np.abs(jac.T @ J @ jac - J).max() <= 1e-5
@@ -323,7 +343,7 @@ def test_reciprocal_singular_values():
         d0 = int(rng.integers(2, 4))
         net = init_potential(d0, rng, hidden_dim=16, depth=2, alpha=1.0, scale=0.8)
         st = PhaseState(rng.standard_normal(d0), rng.standard_normal(d0))
-        jac = flow_jacobian_fd(net, st, RolloutSpec(0.15, 3, 1), 1e-5)
+        jac = flow_jacobian_fd(net, st, RolloutSpec(0.15, 3), 1e-5)
         sv = np.sort(np.linalg.svd(jac, compute_uv=False))
         assert np.abs(sv * sv[::-1] - 1.0).max() <= 1e-4
 
@@ -332,11 +352,8 @@ def test_shadow_energy_bounded_short_run():
     net = quadratic_net(1)
     dt = 0.05
     st = PhaseState(np.array([1.0]), np.array([0.0]))
-    h0 = hamiltonian_energy(net, st)
-    cur = st
-    for _ in range(1000):
-        cur = leapfrog_step(net, cur, dt)
-        assert abs(hamiltonian_energy(net, cur) - h0) <= 5 * dt * dt
+    energy = energy_path(net, st, RolloutSpec(dt, 1000))
+    assert np.abs(energy[1:] - energy[0]).max() <= 5 * dt * dt
 
 
 # --- gradients through the rollout --------------------------------------------
@@ -345,7 +362,7 @@ def test_shadow_energy_bounded_short_run():
 def test_zero_scale_zeroes_residual_gradients_of_state_loss():
     net = init_potential(2, np.random.default_rng(15), hidden_dim=8, depth=2, alpha=1.0, scale=0.0)
     st = PhaseState(np.array([0.5, -0.5]), np.array([0.2, 0.1]))
-    out, tape = rollout(net, st, RolloutSpec(0.1, 2, 1), record=True)
+    out, tape = rollout(net, st, RolloutSpec(0.1, 2), record=True)
     dq, _, grads = tape.backward(np.ones(2), np.zeros(2))
     for dw in grads.d_weights:
         assert np.allclose(dw, 0.0)
@@ -359,7 +376,7 @@ def test_rollout_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     st = PhaseState(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
     tgt = rng.standard_normal((2, 3))
-    spec = RolloutSpec(0.08, 2, 1)
+    spec = RolloutSpec(0.08, 2)
 
     def loss(net2, q0, p0):
         out = rollout(net2, PhaseState(q0, p0), spec)
@@ -488,7 +505,7 @@ def test_force_kernels_match_reference_bitwise(depth, batch):
 @pytest.mark.parametrize("depth, batch", _KERNEL_CASES)
 def test_rollout_tape_matches_reference_kernels_bitwise(monkeypatch, depth, batch):
     net, q, p = _kernel_problem(depth, batch)
-    spec = RolloutSpec(0.1, 3, 1)
+    spec = RolloutSpec(0.1, 3)
     dq_final, dp_final = np.cos(q), np.sin(p)
 
     def run():
@@ -513,7 +530,7 @@ def _rollout_problem(batch):
 @pytest.mark.parametrize("steps", [1, 2, 8])
 def test_unrecorded_rollout_ends_in_the_recorded_state(steps):
     net, state = _rollout_problem(64)
-    spec = RolloutSpec(0.1, steps, -1)
+    spec = RolloutSpec(-0.1, steps)
     out = rollout(net, state, spec)
     recorded, tape = rollout(net, state, spec, record=True)
     assert _same_bits(out.q, recorded.q) and _same_bits(out.p, recorded.p)
@@ -522,21 +539,29 @@ def test_unrecorded_rollout_ends_in_the_recorded_state(steps):
 
 def test_unrecorded_rollout_memory_does_not_grow_with_steps():
     net, state = _rollout_problem(2048)
+    runs = {
+        "eval": lambda: potential_eval(net, state.q),
+        2: lambda: rollout(net, state, RolloutSpec(0.1, 2)),
+        8: lambda: rollout(net, state, RolloutSpec(0.1, 8)),
+        "energy": lambda: energy_path(net, state, RolloutSpec(0.1, 8)),
+    }
     peaks = {}
-    for steps in (2, 8):
+    for name, run in runs.items():
         tracemalloc.start()
         try:
-            rollout(net, state, RolloutSpec(0.1, steps, 1))
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[8] <= 1.05 * peaks[2]
+    # one force record is live at a time: a second one would double the peak
+    assert max(peaks[8], peaks["energy"]) <= 1.25 * peaks["eval"]
 
 
 def test_param_gradients_requires_matching_tape():
     net = init_potential(2, np.random.default_rng(16), hidden_dim=8, depth=1, alpha=1.0, scale=0.5)
     st = PhaseState(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-    _, tape = rollout(net, st, RolloutSpec(0.1, 1, 1), record=True)
+    _, tape = rollout(net, st, RolloutSpec(0.1, 1), record=True)
     with pytest.raises(ValueError):
         tape.backward(np.ones(3), np.ones(3))
 

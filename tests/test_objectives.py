@@ -38,7 +38,7 @@ def test_prediction_loss_zero_on_self_consistent_pair():
     net = small_net()
     rng = RNG(1)
     s_a = PhaseState(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
-    spec = RolloutSpec(0.1, 2, 1)
+    spec = RolloutSpec(0.1, 2)
     s_b = rollout(net, s_a, spec)
     for mode in ("q", "qp"):
         res = prediction_loss(net, s_a, s_b, spec, MatchSpec(mode=mode))
@@ -49,7 +49,7 @@ def test_prediction_loss_squared_error_scale():
     # d0 = 1, batch 1, q residual 0.1 -> loss 0.01
     net = init_potential(1, RNG(0), hidden_dim=4, depth=1, alpha=0.0, scale=0.0)
     s_a = PhaseState(np.array([[0.5]]), np.array([[0.0]]))
-    spec = RolloutSpec(0.1, 1, 1)
+    spec = RolloutSpec(0.1, 1)
     out = rollout(net, s_a, spec)
     s_b = PhaseState(out.q - 0.1, out.p)
     res = prediction_loss(net, s_a, s_b, spec, MatchSpec(mode="q", p_weight=0.0))
@@ -60,9 +60,9 @@ def test_prediction_loss_bidirectional_consistent_pair():
     net = small_net(scale=0.8, seed=9)
     rng = RNG(2)
     s_a = PhaseState(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-    spec = RolloutSpec(0.1, 2, 1)
+    spec = RolloutSpec(0.1, 2)
     s_b = rollout(net, s_a, spec)
-    back = rollout(net, s_b, RolloutSpec(0.1, 2, -1))
+    back = rollout(net, s_b, RolloutSpec(-0.1, 2))
     assert np.abs(back.q - s_a.q).max() <= 1e-11
     res = prediction_loss(net, s_a, s_b, spec, MatchSpec(mode="qp", bidirectional=True))
     assert res.forward_loss <= 1e-28
@@ -74,7 +74,7 @@ def test_prediction_loss_detached_target_gets_no_gradient():
     rng = RNG(3)
     s_a = PhaseState(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
     s_b = PhaseState(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-    spec = RolloutSpec(0.1, 2, 1)
+    spec = RolloutSpec(0.1, 2)
     res = prediction_loss(net, s_a, s_b, spec, MatchSpec(mode="q", detach_target=True))
     assert np.array_equal(res.d_target.q, np.zeros((4, 2)))
     assert np.array_equal(res.d_target.p, np.zeros((4, 2)))
@@ -87,7 +87,7 @@ def test_prediction_loss_gradients_match_fd():
     rng = RNG(4)
     s_a = PhaseState(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
     s_b = PhaseState(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
-    spec = RolloutSpec(0.08, 2, 1)
+    spec = RolloutSpec(0.08, 2)
     match = MatchSpec(mode="q", p_weight=0.4, detach_target=False)
     res = prediction_loss(net, s_a, s_b, spec, match)
 
@@ -117,7 +117,7 @@ def test_prediction_loss_rejects_mismatched_batches():
     a = PhaseState(np.zeros((3, 2)), np.zeros((3, 2)))
     b = PhaseState(np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        prediction_loss(net, a, b, RolloutSpec(0.1, 1, 1), MatchSpec())
+        prediction_loss(net, a, b, RolloutSpec(0.1, 1), MatchSpec())
 
 
 # --- baseline prediction loss ---------------------------------------------------
