@@ -145,14 +145,16 @@ KNN_SWEEP = (1, 5, 10, 20, 50)
 def cmd_diagnose(args) -> int:
     cfg = trainer.validate_config(_load_config(args.config))
     enc = trainer.load_encoder(args.checkpoint)
-    views_a, _, labels, cut = trainer.run_views(cfg)
+    views_a, views_b, labels, cut = trainer.run_views(cfg)
+    del views_b  # only the first view is read out
     if enc.weights[0].shape[1] != views_a.shape[1]:
         raise TrainingAbort(
             f"checkpoint expects inputs of dim {enc.weights[0].shape[1]},"
             f" config generates dim {views_a.shape[1]}"
         )
     os.makedirs(args.out, exist_ok=True)
-    state, _ = trainer.encoder_forward(enc, views_a)
+    state = trainer.encoder_forward(enc, views_a)[0]  # the tape is freed at once
+    del views_a  # the readouts need only the features
     readouts = {
         "q": state.q,
         "p": state.p,

@@ -101,9 +101,20 @@ def generate_views(spec: SyntheticSpec, rng: np.random.Generator):
     qt, pt = exact_quadratic_flow(spec.h_true, spec.flow_time, q0, p0)
     s0 = np.concatenate([q0, p0], axis=1)
     st = np.concatenate([qt, pt], axis=1)
-    views_a = s0 @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
-    views_b = st @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
+    del q0, p0, qt, pt  # the views need only the stacked states
+    views_a = _observe(s0, lift, spec.noise_std, rng)
+    views_b = _observe(st, lift, spec.noise_std, rng)
     return views_a, views_b, labels
+
+
+def _observe(states: np.ndarray, lift: np.ndarray, noise_std: float, rng: np.random.Generator):
+    """states @ lift.T plus noise_std times a standard normal draw, the draw
+    scaled and added in place."""
+    view = states @ lift.T
+    noise = rng.standard_normal(view.shape)
+    noise *= noise_std
+    view += noise
+    return view
 
 
 def default_stiffness(d0: int, stiffness_max: float) -> SPDOperator:
@@ -145,9 +156,12 @@ def encoder_forward(enc: Encoder, batch: np.ndarray):
     x = np.asarray(batch, dtype=np.float64)
     acts = [x]
     for i in range(len(enc.weights) - 1):
-        x = np.tanh(x @ enc.weights[i].T + enc.biases[i])
+        x = x @ enc.weights[i].T  # bias and tanh in place: one (rows, width) array per layer
+        x += enc.biases[i]
+        np.tanh(x, out=x)
         acts.append(x)
-    z = x @ enc.weights[-1].T + enc.biases[-1]
+    z = x @ enc.weights[-1].T
+    z += enc.biases[-1]
     d0 = enc.out_dim // 2
     return PhaseState(z[:, :d0], z[:, d0:]), acts
 

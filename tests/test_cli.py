@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,31 @@ def test_diagnose_foreign_encoder_sidecar_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "encoder" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def default_size_checkpoint(tmp_path_factory):
+    """The initial checkpoint of a default hjepa config (4096 samples)."""
+    run = tmp_path_factory.mktemp("default_size")
+    cfg_path = write_config(run / "cfg.json", {"seed": 42, "hjepa": {}, "train": {"epochs": 0}})
+    assert main(["train", "--config", cfg_path, "--out", str(run)]) == 0
+    return run / "checkpoint_init", cfg_path
+
+
+def test_diagnose_heap_peak_is_bounded(tmp_path, default_size_checkpoint):
+    checkpoint, cfg_path = default_size_checkpoint
+    argv = ["diagnose", "--checkpoint", str(checkpoint), "--config", cfg_path,
+            "--out", str(tmp_path / "diag")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the data draw and the encoder's tape bound it (about 6 MB); the second
+    # view or the tape kept through the sweep, or 128-row kNN blocks, raise it
+    # toward 14 MB
+    assert peak <= 8 * 2**20
 
 
 def _address_space_limit():

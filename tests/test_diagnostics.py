@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ def dyadic_features(rng, n, dim=16):
     return x
 
 
-@pytest.mark.parametrize("n_test", [1, 129, 300])
+@pytest.mark.parametrize("n_test", [1, 31, 32, 33, 65, 129, 300])
 @pytest.mark.parametrize("k", [1, 7, None], ids=["k1", "k7", "kall"])
 def test_knn_matches_stable_argsort_reference_on_ties(n_test, k):
     rng = np.random.default_rng(31)
@@ -184,6 +186,20 @@ def test_knn_matches_stable_argsort_reference_on_ties(n_test, k):
     assert knn_accuracy(train_x, train_y, test_x, expected, k) == 1.0
     test_y = rng.integers(0, 3, size=n_test)
     assert knn_accuracy(train_x, train_y, test_x, test_y, k) == np.mean(expected == test_y)
+
+
+def test_knn_scratch_memory_is_bounded_by_the_row_block():
+    rng = np.random.default_rng(32)
+    train_x, test_x = rng.standard_normal((3072, 16)), rng.standard_normal((1024, 16))
+    train_y, test_y = rng.integers(0, 10, size=3072), rng.integers(0, 10, size=1024)
+    tracemalloc.start()
+    try:
+        knn_accuracy(train_x, train_y, test_x, test_y, k=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four (32, 3072) block buffers and the normalized rows: 2.4 MB; 128-row blocks would peak at 7.7 MB
+    assert peak <= 3 * 2**20
 
 
 # --- linear probe --------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamjepa.numlin import SPDOperator
+from hamjepa.numlin import SPDOperator, orthonormalize_columns
 from hamjepa.hamflow import init_potential
 from hamjepa.trainer import (
     ConfigError,
@@ -31,6 +31,7 @@ from hamjepa.trainer import (
     residual_scale_at,
     run_views,
     save_checkpoint,
+    synthetic_spec_from_config,
     train,
     validate_config,
 )
@@ -72,6 +73,37 @@ def test_views_bitwise_reproducible():
     a2 = generate_views(spec, np.random.default_rng(42))
     for x, y in zip(a1, a2):
         assert np.array_equal(x, y)
+
+
+def reference_generate_views(spec, rng):
+    """generate_views as written before its views were built in place."""
+    d0, n = spec.latent_dim, spec.n_samples
+    centers = rng.standard_normal((spec.n_classes, d0))
+    lift = orthonormalize_columns(rng.standard_normal((spec.obs_dim, 2 * d0)), rng)
+    labels = rng.integers(0, spec.n_classes, size=n)
+    q0 = centers[labels] + spec.noise_std * rng.standard_normal((n, d0))
+    p0 = rng.standard_normal((n, d0))
+    qt, pt = exact_quadratic_flow(spec.h_true, spec.flow_time, q0, p0)
+    s0 = np.concatenate([q0, p0], axis=1)
+    st = np.concatenate([qt, pt], axis=1)
+    views_a = s0 @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
+    views_b = st @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
+    return views_a, views_b, labels
+
+
+@pytest.mark.parametrize("n_samples", [1, 300, None], ids=["n1", "n300", "default"])
+def test_generate_views_matches_reference_bitwise(n_samples):
+    if n_samples is None:
+        spec = synthetic_spec_from_config(validate_config({"seed": 42}))
+    else:
+        spec = tiny_spec(n_samples=n_samples)
+    rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+    got = generate_views(spec, rng)
+    expected = reference_generate_views(spec, ref_rng)
+    for x, y in zip(got, expected):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    # same draws in the same order: the stream ends where it ended before
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_exact_flow_conserves_energy():
@@ -127,6 +159,34 @@ def test_encoder_gradients_match_fd():
             em.weights[li][r, c] -= h
             fd = (loss(ep) - loss(em)) / (2 * h)
             assert abs(d_w[li][r, c] - fd) <= 1e-4 * max(abs(fd), 1e-5)
+
+
+def reference_encoder_forward(enc, batch):
+    """encoder_forward as written before its layers were built in place."""
+    x = np.asarray(batch, dtype=np.float64)
+    acts = [x]
+    for i in range(len(enc.weights) - 1):
+        x = np.tanh(x @ enc.weights[i].T + enc.biases[i])
+        acts.append(x)
+    z = x @ enc.weights[-1].T + enc.biases[-1]
+    d0 = enc.out_dim // 2
+    return z[:, :d0], z[:, d0:], acts
+
+
+@pytest.mark.parametrize("rows", [1, 512])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_encoder_forward_matches_reference_bitwise(depth, rows):
+    rng = np.random.default_rng(100 + depth)
+    enc = init_encoder(32, [64] * depth, 16, rng)
+    for b in enc.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = 2.0 * rng.standard_normal((rows, 32))
+    state, tape = encoder_forward(enc, x)
+    q, p, ref_tape = reference_encoder_forward(enc, x)
+    assert np.array_equal(state.q, q) and np.array_equal(state.p, p)
+    assert len(tape) == len(ref_tape) == depth + 1
+    for act, ref in zip(tape, ref_tape):
+        assert act.shape == ref.shape and np.array_equal(act, ref)
 
 
 def test_encoder_requires_even_output():
