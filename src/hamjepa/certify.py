@@ -6,8 +6,10 @@ an explicit tolerance.  The test suite asserts exactly these checks and the
 command-line ``verify`` command runs them, so no claim lives only in tests
 or only in the CLI.
 
-Each check is a pure function of its seed (plus the tolerance table) and
-returns a CheckResult with the measured residuals.
+Each check is a pure function of its seed (plus the tolerance table).  It
+returns (passed, details): its verdict and the measured residuals that
+decide it, every bound read from ``TOLERANCES``.  Its ``CHECKS`` key is its
+only name, and ``run_checks`` pairs the two into a CheckResult.
 """
 
 import copy
@@ -18,7 +20,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +82,8 @@ from .trainer import (
     validate_config,
 )
 
-# Tolerances, all fixed here.  Tests may monkeypatch a single entry to
-# exercise the failure path of the verify command.
+# Every bound a check's verdict compares against; structural zeros and sample
+# counts stay in the checks.  Tests may monkeypatch an entry to fail its check.
 TOLERANCES = {
     "symplecticity_max": 1e-5,
     "det_max": 1e-5,
@@ -94,10 +96,18 @@ TOLERANCES = {
     "minimax_slack": 1e-6,
     "price_analytic": 1e-10,
     "price_oracle_rel": 2e-3,
+    "rho_range_slack": 1e-12,
+    "regret_formula_max": 1e-6,
     "coupling_slope": 0.02,
     "gibbs_sigmas": 3.0,
     "gradcheck_unit": 1e-4,
     "gradcheck_end_to_end": 1e-3,
+    "pr_invariance_max": 1e-12,
+    "spike_lvol_max": 1e-12,
+    "spike_pr_max": 1.1,
+    "lmin_margin_floor": -1e-12,
+    "sigreg_null_max": 5.0,
+    "sigreg_shift_ratio_min": 10.0,
     "lvol_margin": 0.2,
     "collapse_drop": 2.0,
     "collapse_steps": 200,
@@ -105,6 +115,7 @@ TOLERANCES = {
     "slice_ratio_min": 5.0,
     "expressivity_ratio_max": 10.0,
     "maxent_floor": -1e-10,
+    "maxent_oracle_max": 1e-10,
     "factorization_max": 1e-8,
     "roundtrip_rel": 1e-9,
     "whiten_max": 1e-10,
@@ -119,8 +130,8 @@ MINIMAX_BATCH = 1_000
 class CheckResult:
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    details: dict
+    seconds: float
 
 
 def _random_spd(rng, d, shift=1.0):
@@ -142,7 +153,7 @@ def _random_potential(rng, d0):
 # --- flow checks -----------------------------------------------------------------
 
 
-def check_symplecticity(seed: int) -> CheckResult:
+def check_symplecticity(seed: int) -> tuple[bool, dict]:
     """Jacobians of 50 random rollouts satisfy D'JD = J with unit
     determinant, to finite-difference precision."""
     rng = np.random.default_rng(seed)
@@ -157,12 +168,10 @@ def check_symplecticity(seed: int) -> CheckResult:
         worst_sympl = max(worst_sympl, float(np.abs(jac.T @ J @ jac - J).max()))
         worst_det = max(worst_det, abs(float(np.linalg.det(jac)) - 1.0))
     ok = worst_sympl <= TOLERANCES["symplecticity_max"] and worst_det <= TOLERANCES["det_max"]
-    return CheckResult(
-        "symplecticity", ok, {"max_form_residual": worst_sympl, "max_det_error": worst_det}
-    )
+    return ok, {"max_form_residual": worst_sympl, "max_det_error": worst_det}
 
 
-def check_reversibility(seed: int) -> CheckResult:
+def check_reversibility(seed: int) -> tuple[bool, dict]:
     """Forward-then-reverse rollouts return the input to float rounding."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -179,12 +188,10 @@ def check_reversibility(seed: int) -> CheckResult:
             float(np.abs(back.q - st.q).max()),
             float(np.abs(back.p - st.p).max()),
         )
-    return CheckResult(
-        "reversibility", worst <= TOLERANCES["reversibility_max"], {"max_residual": worst}
-    )
+    return worst <= TOLERANCES["reversibility_max"], {"max_residual": worst}
 
 
-def check_reciprocal_singular_values(seed: int) -> CheckResult:
+def check_reciprocal_singular_values(seed: int) -> tuple[bool, dict]:
     """Singular values of rollout Jacobians pair into reciprocal products."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -195,14 +202,10 @@ def check_reciprocal_singular_values(seed: int) -> CheckResult:
         spec = RolloutSpec(float(rng.uniform(0.05, 0.2)), int(rng.integers(1, 4)))
         sv = np.sort(np.linalg.svd(flow_jacobian_fd(net, st, spec, 1e-5), compute_uv=False))
         worst = max(worst, float(np.abs(sv * sv[::-1] - 1.0).max()))
-    return CheckResult(
-        "reciprocal_singular_values",
-        worst <= TOLERANCES["reciprocal_sv_max"],
-        {"max_pair_error": worst},
-    )
+    return worst <= TOLERANCES["reciprocal_sv_max"], {"max_pair_error": worst}
 
 
-def check_convergence_order(seed: int) -> CheckResult:
+def check_convergence_order(seed: int) -> tuple[bool, dict]:
     """Global rollout error against the closed-form oscillator scales as the
     square of the step size."""
     net = init_potential(1, np.random.default_rng(seed), hidden_dim=4, depth=1, alpha=1.0, scale=0.0)
@@ -213,13 +216,10 @@ def check_convergence_order(seed: int) -> CheckResult:
         out = rollout(net, st, RolloutSpec(dt, round(1.0 / dt)))
         errs.append(float(np.hypot(out.q[0] - np.cos(1.0), out.p[0] + np.sin(1.0))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-    band = TOLERANCES["order_slope_band"]
-    return CheckResult(
-        "convergence_order", abs(slope - 2.0) <= band, {"slope": slope, "errors": errs}
-    )
+    return abs(slope - 2.0) <= TOLERANCES["order_slope_band"], {"slope": slope, "errors": errs}
 
 
-def check_shadow_energy(seed: int) -> CheckResult:
+def check_shadow_energy(seed: int) -> tuple[bool, dict]:
     """Ten thousand leapfrog steps on a quadratic energy keep the energy
     error bounded by a dt^2 multiple with no secular trend."""
     net = init_potential(1, np.random.default_rng(seed), hidden_dim=4, depth=1, alpha=1.0, scale=0.0)
@@ -229,15 +229,12 @@ def check_shadow_energy(seed: int) -> CheckResult:
     drift = energy[1:] - energy[0]
     bound = TOLERANCES["shadow_energy_factor"] * dt * dt
     slope = float(np.polyfit(np.arange(1.0, n + 1.0), drift, 1)[0])
-    ok = float(np.abs(drift).max()) <= bound and abs(slope) < TOLERANCES["shadow_slope_max"]
-    return CheckResult(
-        "shadow_energy",
-        ok,
-        {"max_energy_error": float(np.abs(drift).max()), "bound": bound, "secular_slope": slope},
-    )
+    worst = float(np.abs(drift).max())
+    ok = worst <= bound and abs(slope) < TOLERANCES["shadow_slope_max"]
+    return ok, {"max_energy_error": worst, "bound": bound, "secular_slope": slope}
 
 
-def check_gradients(seed: int) -> CheckResult:
+def check_gradients(seed: int) -> tuple[bool, dict]:
     """Potential, encoder, and full-step gradients match central finite
     differences at unit and end-to-end tolerances."""
     h = 1e-6
@@ -285,7 +282,7 @@ def check_gradients(seed: int) -> CheckResult:
 
     details["step_rel"] = _end_to_end_gradcheck(seed + 4)
     ok = ok and details["step_rel"] <= e2e_tol
-    return CheckResult("gradients", ok, details)
+    return ok, details
 
 
 def _end_to_end_gradcheck(seed: int) -> float:
@@ -337,7 +334,7 @@ def _end_to_end_gradcheck(seed: int) -> float:
 # --- geometry checks ----------------------------------------------------------------
 
 
-def check_minimax(seed: int) -> CheckResult:
+def check_minimax(seed: int) -> tuple[bool, dict]:
     """The oracle covariance attains worst-case variance c/d, and no sampled
     budget-feasible covariance beats it."""
     rng = np.random.default_rng(seed)
@@ -362,17 +359,16 @@ def check_minimax(seed: int) -> CheckResult:
             vals = np.linalg.eigvalsh(hroot.T @ samples @ hroot)[:, -1]
             worst_margin = min(worst_margin, float(vals.min()) - floor)
     ok = worst_rel <= TOLERANCES["minimax_rel"] and worst_margin >= 0
-    return CheckResult(
-        "minimax", ok, {"max_value_rel_err": worst_rel, "min_sample_margin": worst_margin}
-    )
+    return ok, {"max_value_rel_err": worst_rel, "min_sample_margin": worst_margin}
 
 
-def check_price_of_isotropy(seed: int) -> CheckResult:
+def check_price_of_isotropy(seed: int) -> tuple[bool, dict]:
     """The isotropy price matches its closed form exactly and the
     direction-sampling oracle within tolerance, with 1 <= rho <= d."""
     rng = np.random.default_rng(seed)
     worst_formula = worst_oracle = 0.0
     bounds_ok = True
+    slack = TOLERANCES["rho_range_slack"]
     for _ in range(200):
         d = int(rng.integers(2, 9))
         h = SPDOperator(_random_spd(rng, d, 0.2))
@@ -382,7 +378,7 @@ def check_price_of_isotropy(seed: int) -> CheckResult:
         eigs = np.linalg.eigvalsh(h.entries)
         formula = d * eigs[-1] / eigs.sum()
         worst_formula = max(worst_formula, abs(rho - formula))
-        bounds_ok = bounds_ok and 1.0 - 1e-12 <= rho <= d + 1e-12
+        bounds_ok = bounds_ok and 1.0 - slack <= rho <= d + slack
         sampled = sampled_worst_case_variance(sigma_iso, h, 100_000, rng)
         worst_oracle = max(worst_oracle, abs(v_iso - sampled) / v_iso)
     _, _, rho_eye = price_of_isotropy(GeometryBudget(SPDOperator(np.eye(4)), 1.0))
@@ -392,18 +388,12 @@ def check_price_of_isotropy(seed: int) -> CheckResult:
         and bounds_ok
         and rho_eye == 1.0
     )
-    return CheckResult(
-        "price_of_isotropy",
-        ok,
-        {
-            "max_formula_err": worst_formula,
-            "max_oracle_rel_err": worst_oracle,
-            "rho_identity": rho_eye,
-        },
-    )
+    return ok, {
+        "max_formula_err": worst_formula, "max_oracle_rel_err": worst_oracle, "rho_identity": rho_eye,
+    }
 
 
-def check_no_universal_target(seed: int) -> CheckResult:
+def check_no_universal_target(seed: int) -> tuple[bool, dict]:
     """The adversarial geometry drives the fixed-target regret toward the
     dimension, monotonically in delta."""
     rng = np.random.default_rng(seed)
@@ -422,15 +412,11 @@ def check_no_universal_target(seed: int) -> CheckResult:
             min_margin = min(min_margin, regret - d * (1 - 2 * delta * d))
             worst_formula = max(worst_formula, abs(regret - d / (1 + (d - 1) * delta)))
         monotone = monotone and regrets[0] < regrets[1] < regrets[2] < d
-    ok = min_margin >= 0 and monotone and worst_formula <= 1e-6
-    return CheckResult(
-        "no_universal_target",
-        ok,
-        {"min_margin": min_margin, "monotone": monotone, "max_formula_err": worst_formula},
-    )
+    ok = min_margin >= 0 and monotone and worst_formula <= TOLERANCES["regret_formula_max"]
+    return ok, {"min_margin": min_margin, "monotone": monotone, "max_formula_err": worst_formula}
 
 
-def check_coupling(seed: int) -> CheckResult:
+def check_coupling(seed: int) -> tuple[bool, dict]:
     """All couplings share the marginal exactly while the empirical
     conditional-mean slope recovers the coupling strength."""
     rng = np.random.default_rng(seed)
@@ -453,14 +439,11 @@ def check_coupling(seed: int) -> CheckResult:
         for j in range(i + 1, len(predictors))
     )
     ok = shared and distinct and worst_slope <= TOLERANCES["coupling_slope"]
-    return CheckResult(
-        "coupling_nonidentifiability",
-        ok,
-        {"max_slope_err": worst_slope, "marginals_shared": shared, "predictors_distinct": distinct},
-    )
+    details = {"max_slope_err": worst_slope, "marginals_shared": shared, "predictors_distinct": distinct}
+    return ok, details
 
 
-def check_gibbs_lift(seed: int) -> CheckResult:
+def check_gibbs_lift(seed: int) -> tuple[bool, dict]:
     """Empirical covariances and mean energy of the phase-space Gibbs law
     match their targets within three Monte Carlo standard errors.
 
@@ -480,11 +463,7 @@ def check_gibbs_lift(seed: int) -> CheckResult:
         max_norm_errors.append((q_err, p_err))
         worst_sigma = max(worst_sigma, _gibbs_deviation_sigmas(h, c, n, rng))
     ok = worst_sigma <= TOLERANCES["gibbs_sigmas"]
-    return CheckResult(
-        "gibbs_lift",
-        ok,
-        {"worst_deviation_sigmas": worst_sigma, "max_norm_errors": max_norm_errors},
-    )
+    return ok, {"worst_deviation_sigmas": worst_sigma, "max_norm_errors": max_norm_errors}
 
 
 def _gibbs_deviation_sigmas(h: SPDOperator, c: float, n: int, rng) -> float:
@@ -509,7 +488,7 @@ def _gibbs_deviation_sigmas(h: SPDOperator, c: float, n: int, rng) -> float:
     return max(worst, abs(float(energy.mean()) - c) / se_e)
 
 
-def check_joint_spectral(seed: int) -> CheckResult:
+def check_joint_spectral(seed: int) -> tuple[bool, dict]:
     """No rejection-sampled covariance satisfying the three joint
     constraints violates the eigenvalue or conditioning bounds."""
     rng = np.random.default_rng(seed)
@@ -530,14 +509,10 @@ def check_joint_spectral(seed: int) -> CheckResult:
         accepted += 1
         ok, *_ = check_joint_spectral_bounds(SymMatrix(raw), c=c, r0=r0, tau=tau)
         violations += int(not ok)
-    return CheckResult(
-        "joint_spectral_bounds",
-        accepted == 1000 and violations == 0,
-        {"accepted": accepted, "violations": violations},
-    )
+    return accepted == 1000 and violations == 0, {"accepted": accepted, "violations": violations}
 
 
-def check_maxent(seed: int) -> CheckResult:
+def check_maxent(seed: int) -> tuple[bool, dict]:
     """The entropy gap to the oracle Gaussian is nonnegative on feasible
     alternatives and zero at the oracle."""
     rng = np.random.default_rng(seed)
@@ -547,11 +522,11 @@ def check_maxent(seed: int) -> CheckResult:
     min_gap = np.inf
     for alt in sample_feasible_covariance(b, 1000, rng):
         min_gap = min(min_gap, maxent_gaussian_entropy_gap(b, SymMatrix(alt)))
-    ok = min_gap >= TOLERANCES["maxent_floor"] and abs(gap_at_star) <= 1e-10
-    return CheckResult("maxent_gap", ok, {"min_gap": min_gap, "gap_at_oracle": gap_at_star})
+    ok = min_gap >= TOLERANCES["maxent_floor"] and abs(gap_at_star) <= TOLERANCES["maxent_oracle_max"]
+    return ok, {"min_gap": min_gap, "gap_at_oracle": gap_at_star}
 
 
-def check_whiten_and_roundtrip(seed: int) -> CheckResult:
+def check_whiten_and_roundtrip(seed: int) -> tuple[bool, dict]:
     """Whitening the oracle covariance yields a multiple of the identity,
     and the geometry-from-covariance map round-trips the SPD cone."""
     rng = np.random.default_rng(seed)
@@ -574,14 +549,10 @@ def check_whiten_and_roundtrip(seed: int) -> CheckResult:
             float(np.abs(back.entries - sigma.entries).max() / np.abs(sigma.entries).max()),
         )
     ok = worst_white <= TOLERANCES["whiten_max"] and worst_round <= TOLERANCES["roundtrip_rel"]
-    return CheckResult(
-        "whiten_and_roundtrip",
-        ok,
-        {"max_whiten_err": worst_white, "max_roundtrip_rel": worst_round},
-    )
+    return ok, {"max_whiten_err": worst_white, "max_roundtrip_rel": worst_round}
 
 
-def check_symplectic_factorization(seed: int) -> CheckResult:
+def check_symplectic_factorization(seed: int) -> tuple[bool, dict]:
     """Kick-drift-scaling factorization reconstructs composed leapfrog
     linearizations with symmetric shear blocks."""
     rng = np.random.default_rng(seed)
@@ -609,17 +580,13 @@ def check_symplectic_factorization(seed: int) -> CheckResult:
             float(np.abs(B - B.T).max()),
             float(np.abs(C - C.T).max()),
         )
-    return CheckResult(
-        "symplectic_factorization",
-        worst <= TOLERANCES["factorization_max"],
-        {"max_residual": worst},
-    )
+    return worst <= TOLERANCES["factorization_max"], {"max_residual": worst}
 
 
 # --- objective witnesses ---------------------------------------------------------
 
 
-def check_anti_collapse_witnesses(seed: int) -> CheckResult:
+def check_anti_collapse_witnesses(seed: int) -> tuple[bool, dict]:
     """Each regularizer's role: scale budgets permit rank collapse, volume
     floors catch it, volume alone permits spikes, PR alone ignores scale."""
     rng = np.random.default_rng(seed)
@@ -661,16 +628,16 @@ def check_anti_collapse_witnesses(seed: int) -> CheckResult:
     details["lmin_bound_margin"] = worst_margin
 
     ok = (
-        details["pr_scale_invariance"] <= 1e-12
-        and details["spike_lvol_err"] <= 1e-12
-        and details["spike_pr"] < 1.1
+        details["pr_scale_invariance"] <= TOLERANCES["pr_invariance_max"]
+        and details["spike_lvol_err"] <= TOLERANCES["spike_lvol_max"]
+        and details["spike_pr"] < TOLERANCES["spike_pr_max"]
         and loss_flat > 0
-        and worst_margin >= -1e-12
+        and worst_margin >= TOLERANCES["lmin_margin_floor"]
     )
-    return CheckResult("anti_collapse_witnesses", ok, details)
+    return ok, details
 
 
-def check_sigreg_calibration(seed: int) -> CheckResult:
+def check_sigreg_calibration(seed: int) -> tuple[bool, dict]:
     """The sliced-CF statistic is small and stable on the standard normal
     null and grows by an order of magnitude under a mean shift."""
     spec = SIGRegSpec()
@@ -682,10 +649,11 @@ def check_sigreg_calibration(seed: int) -> CheckResult:
         nulls.append(sigreg_value(z, spec, slices))
     z[:, 0] += 3.0  # the largest null sample, shifted in place
     loud = sigreg_value(z, spec, slices)
-    ok = max(nulls) <= 5.0 and loud >= 10.0 * nulls[-1]
-    return CheckResult(
-        "sigreg_calibration", ok, {"nulls": nulls, "shifted": loud, "ratio": loud / nulls[-1]}
+    ok = (
+        max(nulls) <= TOLERANCES["sigreg_null_max"]
+        and loud >= TOLERANCES["sigreg_shift_ratio_min"] * nulls[-1]
     )
+    return ok, {"nulls": nulls, "shifted": loud, "ratio": loud / nulls[-1]}
 
 
 # --- training checks ----------------------------------------------------------------
@@ -726,7 +694,7 @@ def _trained(seed: int, run: str) -> tuple:
     return cfg, records, knn_accuracy(q[:cut], labels[:cut], q[cut:], labels[cut:], 20)
 
 
-def check_anti_collapse_training(seed: int) -> CheckResult:
+def check_anti_collapse_training(seed: int) -> tuple[bool, dict]:
     """The default predictive run keeps the projected log-volume above its
     floor after warmup, while the ablation (no anti-collapse weights, live
     targets) collapses within the step budget."""
@@ -742,27 +710,20 @@ def check_anti_collapse_training(seed: int) -> CheckResult:
     )
     drop_step = next(drops, None)
     ok = min_lvol >= tau - TOLERANCES["lvol_margin"] and drop_step is not None
-    return CheckResult(
-        "anti_collapse_training",
-        ok,
-        {"min_lvol_after_warmup": min_lvol, "floor": tau, "collapse_step": drop_step},
-    )
+    return ok, {"min_lvol_after_warmup": min_lvol, "floor": tau, "collapse_step": drop_step}
 
 
-def check_headline_gap(seed: int) -> CheckResult:
+def check_headline_gap(seed: int) -> tuple[bool, dict]:
     """The phase-space predictive run beats the mean-of-views baseline on
     the content-readout neighborhood accuracy by the frozen margin."""
     knn_h = _trained(seed, "hjepa")[2]
     knn_b = _trained(seed, "baseline")[2]
     gap = 100.0 * (knn_h - knn_b)
-    return CheckResult(
-        "headline_gap",
-        gap >= TOLERANCES["headline_gap_points"],
-        {"knn_hjepa_q": knn_h, "knn_baseline_q": knn_b, "gap_points": gap},
-    )
+    ok = gap >= TOLERANCES["headline_gap_points"]
+    return ok, {"knn_hjepa_q": knn_h, "knn_baseline_q": knn_b, "gap_points": gap}
 
 
-def check_expressivity(seed: int) -> CheckResult:
+def check_expressivity(seed: int) -> tuple[bool, dict]:
     """A separable predictor trained on noise-free quadratic transport gets
     within an order of magnitude of the pure-integrator error.
 
@@ -813,30 +774,21 @@ def check_expressivity(seed: int) -> CheckResult:
         p = ph - 0.5 * dt * g
     rmse_int = float(np.sqrt(np.mean((q - qt) ** 2)))
     ratio = rmse_model / rmse_int
-    return CheckResult(
-        "expressivity",
-        ratio <= TOLERANCES["expressivity_ratio_max"],
-        {"trained_rmse": rmse_model, "integrator_rmse": rmse_int, "ratio": ratio},
-    )
+    ok = ratio <= TOLERANCES["expressivity_ratio_max"]
+    return ok, {"trained_rmse": rmse_model, "integrator_rmse": rmse_int, "ratio": ratio}
 
 
-def check_slice_demo(seed: int) -> CheckResult:
+def check_slice_demo(seed: int) -> tuple[bool, dict]:
     """Coarse forward-Euler transport shows a much larger directional
     discrepancy than coarse leapfrog at the same step size."""
     profiles = harmonic_slice_demo(0.3, 3.0, 4000, np.random.default_rng(seed))
-    ratio = profiles["euler"].mean_g / profiles["leapfrog"].mean_g
-    return CheckResult(
-        "slice_demo",
-        ratio >= TOLERANCES["slice_ratio_min"],
-        {
-            "euler_mean_g": profiles["euler"].mean_g,
-            "leapfrog_mean_g": profiles["leapfrog"].mean_g,
-            "ratio": ratio,
-        },
-    )
+    euler, leapfrog = profiles["euler"].mean_g, profiles["leapfrog"].mean_g
+    ratio = euler / leapfrog
+    ok = ratio >= TOLERANCES["slice_ratio_min"]
+    return ok, {"euler_mean_g": euler, "leapfrog_mean_g": leapfrog, "ratio": ratio}
 
 
-def check_determinism(seed: int) -> CheckResult:
+def check_determinism(seed: int) -> tuple[bool, dict]:
     """Identical config and seed give byte-identical training outputs, in
     both modes."""
 
@@ -861,7 +813,7 @@ def check_determinism(seed: int) -> CheckResult:
             train(copy.deepcopy(cfg), out_dir=a)
             train(copy.deepcopy(cfg), out_dir=bdir)
             identical = identical and tree_digest(a) == tree_digest(bdir)
-    return CheckResult("determinism", identical, {"byte_identical": identical})
+    return identical, {"byte_identical": identical}
 
 
 # --- registry ----------------------------------------------------------------------
@@ -1030,19 +982,16 @@ def _one_blas_thread():
                 setter(1)
 
 
-def _run_one(job) -> CheckResult:
-    """Run and time one (name, seed) check in the calling process."""
-    name, seed = job
+def _run_one(name: str, seed: int) -> CheckResult:
+    """Run and time the check ``name`` at ``seed`` in the calling process."""
     start = time.time()
-    result = CHECKS[name](seed)
-    result.passed = bool(result.passed)
-    result.seconds = time.time() - start
-    return result
+    passed, details = CHECKS[name](seed)
+    return CheckResult(name, bool(passed), details, time.time() - start)
 
 
 def _run_group(names, seed: int) -> list:
     """Run one job of the dispatch plan, its checks in order, here."""
-    return [_run_one((name, seed)) for name in names]
+    return [_run_one(name, seed) for name in names]
 
 
 def run_checks(names=None, seed: int = 42) -> list:
@@ -1066,7 +1015,7 @@ def run_checks(names=None, seed: int = 42) -> list:
     jobs = dispatch_plan(selected)
     workers = worker_count(len(jobs))
     if workers == 1:
-        return [_run_one((name, seed)) for name in selected]
+        return [_run_one(name, seed) for name in selected]
     # imported here, as they would add ~5 ms to every command's start
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

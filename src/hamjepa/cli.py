@@ -57,7 +57,7 @@ def cmd_verify(args) -> int:
     from concurrent.futures import BrokenExecutor
 
     seed = _env_seed(args.seed)
-    names = args.filter.split(",") if args.filter else None
+    names = args.filter.split(",") if args.filter is not None else None
     jobs = certify.dispatch_plan(names)
     if args.out:  # before the checks run, so that an --out that is a file fails at once
         os.makedirs(args.out, exist_ok=True)

@@ -246,12 +246,10 @@ class RolloutTape:
         g_bars = [np.zeros_like(r.grad) for r in self.records]
         q_bar, p_bar = dq.copy(), dp.copy()
         for k in range(K - 1, -1, -1):
-            p_half_bar = p_bar
             g_bars[k + 1] += -0.5 * h * p_bar
             q_bar = q_bar + _force_backward(self.net, self.records[k + 1], g_bars[k + 1], grads)
-            p_half_bar = p_half_bar + h * q_bar
-            p_bar = p_half_bar
-            g_bars[k] += -0.5 * h * p_half_bar
+            p_bar = p_bar + h * q_bar
+            g_bars[k] += -0.5 * h * p_bar
         q_bar = q_bar + _force_backward(self.net, self.records[0], g_bars[0], grads)
         return q_bar, p_bar, grads
 

@@ -20,14 +20,14 @@ SEED = 42
 
 def run_check(name, budget_s=None):
     start = time.time()
-    result = certify.CHECKS[name](SEED)
+    passed, details = certify.CHECKS[name](SEED)
     elapsed = time.time() - start
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {name} ({elapsed:.1f}s): {result.details}")
-    assert result.passed, f"{name} failed: {result.details}"
+    status = "PASS" if passed else "FAIL"
+    print(f"{status} {name} ({elapsed:.1f}s): {details}")
+    assert passed, f"{name} failed: {details}"
     if budget_s is not None:
         assert elapsed <= budget_s, f"{name} took {elapsed:.1f}s, budget {budget_s}s"
-    return result
+    return details
 
 
 def test_criterion_01_symplecticity_certificate():
@@ -83,10 +83,10 @@ def test_criterion_13_anti_collapse_in_training():
 
 
 def test_criterion_14_scaled_headline_analogue():
-    result = run_check("headline_gap", budget_s=600)
+    details = run_check("headline_gap", budget_s=600)
     # calibrated once at seed 42 and frozen: the gap clears the 5-point
     # threshold with a wide margin (~17 points)
-    assert result.details["gap_points"] >= 5.0
+    assert details["gap_points"] >= 5.0
 
 
 def test_criterion_15_slice_demo(tmp_path):

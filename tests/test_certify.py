@@ -1,7 +1,8 @@
 """run_checks: the worker pool gives the in-process results, in order, and
 neither a raising check nor a dead worker leaves it hanging.  The dispatch
 plan runs the slow checks first, and the training checks share their runs
-in one process and in the pool."""
+in one process and in the pool.  Every bound in TOLERANCES decides its
+check's verdict."""
 
 import ctypes
 import os
@@ -12,7 +13,6 @@ import sys
 import pytest
 
 from hamjepa import certify
-from hamjepa.certify import CheckResult
 from hamjepa.trainer import ConfigError
 
 # checks that each take well under a second
@@ -37,13 +37,13 @@ def register_pid_checks(monkeypatch, count):
     for name in names:
         monkeypatch.setitem(
             certify.CHECKS, name,
-            lambda seed, name=name: CheckResult(name, 1, {"pid": os.getpid(), "seed": seed}),
+            lambda seed: (1, {"pid": os.getpid(), "seed": seed}),
         )
     return names
 
 
 def test_pooled_results_equal_in_process_results(monkeypatch):
-    serial = [certify._run_one((name, 3)) for name in FAST]
+    serial = [certify._run_one(name, 3) for name in FAST]
     use_workers(monkeypatch, 3)
     pooled = certify.run_checks(FAST, seed=3)
     assert untimed(pooled) == untimed(serial)
@@ -94,6 +94,58 @@ def test_one_worker_runs_in_process(monkeypatch):
     names = register_pid_checks(monkeypatch, 3)
     use_workers(monkeypatch, 1)
     assert {r.details["pid"] for r in certify.run_checks(names)} == {os.getpid()}
+
+
+INF = float("inf")
+
+# Each TOLERANCES entry read by a check that takes under 2 s, with that check
+# and a limit no result can meet: -inf for a maximum, +inf for a minimum.
+FAST_BOUNDS = {
+    "symplecticity_max": ("symplecticity", -INF),
+    "det_max": ("symplecticity", -INF),
+    "reversibility_max": ("reversibility", -INF),
+    "reciprocal_sv_max": ("reciprocal_singular_values", -INF),
+    "order_slope_band": ("convergence_order", -INF),
+    "shadow_energy_factor": ("shadow_energy", -INF),
+    "shadow_slope_max": ("shadow_energy", -INF),
+    "gradcheck_unit": ("gradients", -INF),
+    "gradcheck_end_to_end": ("gradients", -INF),
+    "minimax_rel": ("minimax", -INF),
+    "minimax_slack": ("minimax", -INF),
+    "regret_formula_max": ("no_universal_target", -INF),
+    "coupling_slope": ("coupling_nonidentifiability", -INF),
+    "gibbs_sigmas": ("gibbs_lift", -INF),
+    "maxent_floor": ("maxent_gap", INF),
+    "maxent_oracle_max": ("maxent_gap", -INF),
+    "whiten_max": ("whiten_and_roundtrip", -INF),
+    "roundtrip_rel": ("whiten_and_roundtrip", -INF),
+    "factorization_max": ("symplectic_factorization", -INF),
+    "pr_invariance_max": ("anti_collapse_witnesses", -INF),
+    "spike_lvol_max": ("anti_collapse_witnesses", -INF),
+    "spike_pr_max": ("anti_collapse_witnesses", -INF),
+    "lmin_margin_floor": ("anti_collapse_witnesses", INF),
+    "sigreg_null_max": ("sigreg_calibration", -INF),
+    "sigreg_shift_ratio_min": ("sigreg_calibration", INF),
+    "slice_ratio_min": ("slice_demo", INF),
+}
+
+# The entries read only by checks that train or sample for seconds.
+SLOW_BOUNDS = {
+    "price_analytic", "price_oracle_rel", "rho_range_slack", "expressivity_ratio_max",
+    "lvol_margin", "collapse_drop", "collapse_steps", "headline_gap_points",
+}
+
+
+def test_every_bound_is_listed_once():
+    assert not FAST_BOUNDS.keys() & SLOW_BOUNDS
+    assert FAST_BOUNDS.keys() | SLOW_BOUNDS == certify.TOLERANCES.keys()
+
+
+@pytest.mark.parametrize("entry", FAST_BOUNDS)
+def test_each_bound_decides_its_check(monkeypatch, entry):
+    name, limit = FAST_BOUNDS[entry]
+    monkeypatch.setitem(certify.TOLERANCES, entry, limit)
+    assert certify._run_one(name, 42).passed is False
 
 
 def run_script(script, timeout):
@@ -237,9 +289,7 @@ def test_pooled_workers_inherit_one_blas_thread(monkeypatch):
     for name in names:
         monkeypatch.setitem(
             certify.CHECKS, name,
-            lambda seed, name=name: CheckResult(
-                name, True, {"pid": os.getpid(), "threads": [get() for get in getters]}
-            ),
+            lambda seed: (True, {"pid": os.getpid(), "threads": [get() for get in getters]}),
         )
     use_workers(monkeypatch, 2)
     for set_threads in setters:
@@ -297,9 +347,8 @@ def test_pooled_training_checks_share_their_runs(monkeypatch):
 
     def counting(check):
         def run(seed):
-            result = check(seed)
-            result.details = {"pid": os.getpid(), "hjepa_trainings": sum(trained)}
-            return result
+            passed, _ = check(seed)
+            return passed, {"pid": os.getpid(), "hjepa_trainings": sum(trained)}
         return run
 
     monkeypatch.setattr(certify, "train", counted_train)

@@ -79,14 +79,18 @@ def test_verify_unknown_filter_is_config_error(capsys):
 @pytest.mark.parametrize(
     "checks, message",
     [("slice_demo,convergence_order,slice_demo", "checks named more than once: slice_demo"),
-     ("slice_demo,,convergence_order", "empty check name in the filter")],
-    ids=["repeated", "empty"],
+     ("slice_demo,,convergence_order", "empty check name in the filter"),
+     ("", "empty check name in the filter")],
+    ids=["repeated", "empty", "empty-filter"],
 )
-def test_verify_bad_filter_entry_is_config_error(tmp_path, capsys, checks, message):
+def test_verify_bad_filter_entry_is_config_error(tmp_path, monkeypatch, capsys, checks, message):
+    calls = []
+    monkeypatch.setattr(certify, "run_checks", lambda *args, **kwargs: calls.append(args) or [])
     assert main(["verify", "--filter", checks, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "verify_report.json").exists()
+    assert calls == []
 
 
 def test_verify_timings_record_the_jobs_and_the_workers_used(tmp_path, monkeypatch):
@@ -807,6 +811,6 @@ def test_run_checks_sets_up_the_process(monkeypatch):
     log = []
     monkeypatch.setattr(certify, "setup_process", lambda: log.append("setup"))
     monkeypatch.setattr(certify, "worker_count", lambda n: 1)
-    monkeypatch.setitem(certify.CHECKS, "stub", lambda seed: certify.CheckResult("stub", True, {}))
+    monkeypatch.setitem(certify.CHECKS, "stub", lambda seed: (True, {}))
     assert [r.name for r in certify.run_checks(["stub"])] == ["stub"]
     assert log == ["setup"]
