@@ -13,7 +13,6 @@ only name, and ``run_checks`` pairs the two into a CheckResult.
 """
 
 import copy
-import ctypes
 import functools
 import hashlib
 import json
@@ -900,88 +899,6 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(cpus or 1, n_jobs))
 
 
-def setup_process():
-    """Set up this process for speed; results never depend on it.
-
-    Fixes glibc's malloc thresholds and caps a loaded OpenBLAS at one
-    thread.  ``cli.main`` calls it before every command, and ``run_checks``
-    calls it before it forks its workers, which inherit both settings.  A
-    library caller that runs a check or a training job directly calls it
-    once beforehand; a second call changes nothing.
-    """
-    _fix_malloc_thresholds()
-    _one_blas_thread()
-
-
-# glibc's mallopt(3) parameters and the values every process runs with
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 32 * 2**20  # glibc's ceiling for its dynamic threshold on 64-bit
-TRIM_THRESHOLD_BYTES = 64 * 2**20
-
-
-def _fix_malloc_thresholds():
-    """Give glibc's allocator fixed mmap and trim thresholds.
-
-    glibc starts with a 128 KiB mmap threshold and raises it whenever a
-    larger mmapped block is freed, lowering the trim threshold with it.  A
-    training step's 256 x 64 float64 temporaries are exactly 128 KiB, so
-    whether they come from the heap or from a fresh, page-faulted mmap on
-    every call depends on the process's allocation history, and an
-    unrelated change can flip a whole run between a low-fault and a
-    high-fault mode.  Setting either value turns the dynamic rule off, so
-    both are set: with only the trim threshold fixed, every block of
-    128 KiB is still mmapped, and with only the mmap threshold fixed, the
-    heap is trimmed after the step's frees and faulted in again.  The mmap
-    threshold is glibc's own ceiling, and the trim threshold is twice it.
-    Where the C library has no ``mallopt``, nothing changes.
-    """
-    try:
-        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
-    except (OSError, TypeError):  # TypeError: Windows has no such handle
-        return
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
-# system OpenBLAS, its 64-bit-integer build, and numpy wheels' scipy-openblas
-_OPENBLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-def _one_blas_thread():
-    """Cap a loaded OpenBLAS at one thread in this process.
-
-    The matrices here are too small to gain from a split: with one thread
-    per CPU, OpenBLAS's spin-waiting helpers only burn CPU (an 8-epoch
-    hjepa ``train`` used twice the CPU time for the same result), and a
-    forked worker keeps the parent's thread count, so N workers on N CPUs
-    would run N times as many BLAS threads as there are CPUs.  The library
-    is found in the process's memory map (Linux); elsewhere, or under
-    another BLAS, nothing changes.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
-
 def _run_one(name: str, seed: int) -> CheckResult:
     """Run and time the check ``name`` at ``seed`` in the calling process."""
     start = time.time()
@@ -1000,17 +917,17 @@ def run_checks(names=None, seed: int = 42) -> list:
 
     Each check is a pure function of its seed, so the jobs of
     ``dispatch_plan`` run in ``worker_count`` forked worker processes, which
-    inherit this process's state: ``TOLERANCES`` and the ``setup_process``
-    settings included.  The jobs are submitted in plan order, slowest first.
-    Only ``_run_group``, a job's check names and the seed go to a worker,
-    which looks each check up in its copy of ``CHECKS``.  With one worker
-    the checks run here, one after another, in the order named:
-    ``taskset -c 0 hamjepa verify`` is the serial run.  Each result's
-    ``seconds`` is timed where the check ran.  A check that raises stops
-    the run with its exception and cancels the jobs not yet started; a
-    worker that dies raises ``BrokenProcessPool``.
+    inherit this process's state: ``TOLERANCES`` and the
+    ``trainer.setup_process`` settings included.  The jobs are submitted in
+    plan order, slowest first.  Only ``_run_group``, a job's check names
+    and the seed go to a worker, which looks each check up in its copy of
+    ``CHECKS``.  With one worker the checks run here, one after another, in
+    the order named: ``taskset -c 0 hamjepa verify`` is the serial run.
+    Each result's ``seconds`` is timed where the check ran.  A check that
+    raises stops the run with its exception and cancels the jobs not yet
+    started; a worker that dies raises ``BrokenProcessPool``.
     """
-    setup_process()
+    trainer.setup_process()
     selected = _selected(names)
     jobs = dispatch_plan(selected)
     workers = worker_count(len(jobs))

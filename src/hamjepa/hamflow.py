@@ -11,7 +11,11 @@ Hessian-vector product and the parameter derivatives of grad V.
 One leapfrog loop, ``_leapfrog``, steps a potential.  ``rollout`` returns
 its final state (and, recorded, the tape of its force records);
 ``energy_path`` returns H along it, with V read from the record each step
-has already evaluated.  ``RolloutSpec.dt`` carries the step's sign.
+has already evaluated.  ``RolloutSpec.dt`` carries the step's sign.  A
+rollout asked for no final kick stops after its last drift and returns
+(q_K, p_{K-1/2}) from K force evaluations instead of K + 1; training's
+prediction loss takes that map when it reads q_K alone, and the reverse
+pass then skips the Hessian-vector product the missing record would need.
 
 All arrays are float64.  Batched states are rows; single states work too.
 The unrolled depth is small (K <= ~8), so a recorded rollout stores every
@@ -228,76 +232,104 @@ def potential_eval(net: PotentialNet, q) -> tuple[np.ndarray, np.ndarray, ForceR
 
 
 class RolloutTape:
-    """Stored force records of a recorded rollout, for the reverse pass."""
+    """Stored force records of a recorded rollout, for the reverse pass:
+    K + 1 of them, or K when the rollout stopped after its last drift."""
 
-    def __init__(self, net: PotentialNet, dt_eff: float, records: list):
+    def __init__(self, net: PotentialNet, dt_eff: float, steps: int, records: list):
         self.net = net
         self.dt_eff = dt_eff
+        self.steps = steps
         self.records = records
 
     def backward(self, dq_final, dp_final) -> tuple[np.ndarray, np.ndarray, PotentialGrads]:
         """Gradients of a scalar loss w.r.t. the initial state and the
-        potential parameters, given the loss gradients at the final state."""
+        potential parameters, given the loss gradients at the final state.
+
+        On a stopped rollout's tape this is the exact adjoint of
+        (q_0, p_0) -> (q_K, p_{K-1/2}) for any ``dp_final``: the final kick
+        and its record are missing, so their Hessian-vector product is
+        skipped.  With ``dp_final`` zero that product only adds zeros, so
+        the result equals the full tape's bit for bit.
+        """
         dq, _ = _as_batch(dq_final)
         dp, _ = _as_batch(dp_final)
         grads = PotentialGrads.zeros_like(self.net)
         h = self.dt_eff
-        K = len(self.records) - 1
         g_bars = [np.zeros_like(r.grad) for r in self.records]
         q_bar, p_bar = dq.copy(), dp.copy()
-        for k in range(K - 1, -1, -1):
-            g_bars[k + 1] += -0.5 * h * p_bar
-            q_bar = q_bar + _force_backward(self.net, self.records[k + 1], g_bars[k + 1], grads)
+        for k in range(self.steps - 1, -1, -1):
+            if k + 1 < len(self.records):  # a stopped rollout took no kick at q_K
+                g_bars[k + 1] += -0.5 * h * p_bar
+                q_bar = q_bar + _force_backward(self.net, self.records[k + 1], g_bars[k + 1], grads)
             p_bar = p_bar + h * q_bar
             g_bars[k] += -0.5 * h * p_bar
         q_bar = q_bar + _force_backward(self.net, self.records[0], g_bars[0], grads)
         return q_bar, p_bar, grads
 
 
-def _leapfrog(net: PotentialNet, q, p, h: float, steps: int):
+def _leapfrog(net: PotentialNet, q, p, h: float, steps: int, final_kick: bool = True):
     """Yields (q, p, force record at q) for the start state and after each
     of ``steps`` half-kick / drift / half-kick updates of size h.
 
     Each record serves both kicks around its q, so a step evaluates the
-    force once.  A consumer that keeps no records must drop the one it was
-    given before asking for the next, or two are live during an evaluation.
+    force once.  Without ``final_kick`` the last step stops after its
+    drift: the last item is (q_K, p_{K-1/2}, None), and no force is
+    evaluated at q_K.  A consumer that keeps no records must drop the one
+    it was given before asking for the next, or two are live during an
+    evaluation.
     """
     rec = _eval_force(net, q)
     for k in range(steps):
         yield q, p, rec
-        p_half = p - 0.5 * h * rec.grad
-        q = q + h * p_half
+        p = p - 0.5 * h * rec.grad
+        q = q + h * p
         del rec  # only the tape reads a record after its kick
-        try:
-            rec = _eval_force(net, q)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"rollout step {k}: {exc}") from exc
-        p = p_half - 0.5 * h * rec.grad
+        if final_kick or k < steps - 1:
+            try:
+                rec = _eval_force(net, q)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"rollout step {k}: {exc}") from exc
+            p = p - 0.5 * h * rec.grad
+        else:
+            rec = None
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise FloatingPointError(f"non-finite state at rollout step {k}")
     yield q, p, rec
 
 
-def rollout(net: PotentialNet, state: PhaseState, spec: RolloutSpec, record: bool = False):
+def rollout(
+    net: PotentialNet,
+    state: PhaseState,
+    spec: RolloutSpec,
+    record: bool = False,
+    final_kick: bool = True,
+):
     """K composed leapfrog steps of size dt.
 
     With ``record=True`` also returns the tape for the unrolled reverse pass,
     which holds all K + 1 force records.  Without it each record is dropped
     once its last kick is taken, so at most one is live and memory does not
     grow with K.
+
+    With ``final_kick=False`` the last step stops after its drift: the
+    result is (q_K, p_{K-1/2}), with q_K bit for bit the full rollout's,
+    and the tape holds K records.  That saves the force evaluation at q_K
+    and, in the reverse pass, its Hessian-vector product.  Training takes
+    this map when its prediction loss reads q_K alone (``match`` "q" with
+    ``p_weight`` 0); every other caller takes the full step.
     """
     q2d, squeeze = _as_batch(state.q)
     p2d, _ = _as_batch(state.p)
     records = []
     with np.errstate(over="ignore", invalid="ignore"):  # blowups are caught in _leapfrog
-        for q, p, rec in _leapfrog(net, q2d, p2d, spec.dt, spec.steps):
-            if record:
+        for q, p, rec in _leapfrog(net, q2d, p2d, spec.dt, spec.steps, final_kick):
+            if record and rec is not None:
                 records.append(rec)
             del rec  # else it stays live through the next force evaluation
 
     result = PhaseState(q[0], p[0]) if squeeze else PhaseState(q, p)
     if record:
-        return result, RolloutTape(net, spec.dt, records)
+        return result, RolloutTape(net, spec.dt, spec.steps, records)
     return result
 
 

@@ -154,8 +154,10 @@ class PredictionLossResult:
 
 
 def _direction_loss(net, s_from: PhaseState, s_to: PhaseState, spec, match):
-    """One prediction direction: roll s_from, compare against s_to."""
-    out, tape = rollout(net, s_from, spec, record=True)
+    """One prediction direction: roll s_from, compare against s_to.  A loss
+    that reads q_K alone stops the rollout after its last drift."""
+    q_only = match.mode == "q" and match.p_weight == 0
+    out, tape = rollout(net, s_from, spec, record=True, final_kick=not q_only)
     B, d = out.q.shape
     dq_hat = np.zeros_like(out.q)
     dp_hat = np.zeros_like(out.p)

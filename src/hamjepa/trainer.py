@@ -6,7 +6,8 @@ states, AdamW with decoupled weight decay, warmup + cosine learning-rate
 and residual-scale schedules, and the two step types: the phase-space
 predictive step (rollout prediction plus anti-collapse regularizers) and
 the mean-of-views baseline step with the sliced-CF regularizer.  Each is a
-pure loss-and-gradients function followed by one shared update.
+pure loss-and-gradients function followed by one shared update.  The
+process set-up that every command runs first lives here too.
 
 Everything is driven by a JSON config validated against one schema table,
 which gives every key its default, its kind and its range; an unknown key or
@@ -14,6 +15,7 @@ a bad value is rejected with its path.  Identical config and seed give
 bitwise-identical parameter trajectories, metrics, and checkpoints.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -48,6 +50,93 @@ class ConfigError(ValueError):
 
 class TrainingAbort(RuntimeError):
     """Non-finite loss or gradients; message carries the loss breakdown."""
+
+
+# --- process set-up ----------------------------------------------------------
+
+
+def setup_process():
+    """Set up this process for speed; results never depend on it.
+
+    Fixes glibc's malloc thresholds and caps a loaded OpenBLAS at one
+    thread.  ``cli.main`` calls it before every command, and
+    ``certify.run_checks`` calls it before it forks its workers, which
+    inherit both settings.  A library caller that runs a check or a
+    training job directly calls it once beforehand; a second call changes
+    nothing.
+    """
+    _fix_malloc_thresholds()
+    _one_blas_thread()
+
+
+# glibc's mallopt(3) parameters and the values every process runs with
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20  # glibc's ceiling for its dynamic threshold on 64-bit
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+def _fix_malloc_thresholds():
+    """Give glibc's allocator fixed mmap and trim thresholds.
+
+    glibc starts with a 128 KiB mmap threshold and raises it whenever a
+    larger mmapped block is freed, lowering the trim threshold with it.  A
+    training step's 256 x 64 float64 temporaries are exactly 128 KiB, so
+    whether they come from the heap or from a fresh, page-faulted mmap on
+    every call depends on the process's allocation history, and an
+    unrelated change can flip a whole run between a low-fault and a
+    high-fault mode.  Setting either value turns the dynamic rule off, so
+    both are set: with only the trim threshold fixed, every block of
+    128 KiB is still mmapped, and with only the mmap threshold fixed, the
+    heap is trimmed after the step's frees and faulted in again.  The mmap
+    threshold is glibc's own ceiling, and the trim threshold is twice it.
+    Where the C library has no ``mallopt``, nothing changes.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
+    except (OSError, TypeError):  # TypeError: Windows has no such handle
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+# system OpenBLAS, its 64-bit-integer build, and numpy wheels' scipy-openblas
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread():
+    """Cap a loaded OpenBLAS at one thread in this process.
+
+    The matrices here are too small to gain from a split: with one thread
+    per CPU, OpenBLAS's spin-waiting helpers only burn CPU (an 8-epoch
+    hjepa ``train`` used twice the CPU time for the same result), and a
+    forked worker keeps the parent's thread count, so N workers on N CPUs
+    would run N times as many BLAS threads as there are CPUs.  The library
+    is found in the process's memory map (Linux); elsewhere, or under
+    another BLAS, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
 
 
 # --- synthetic two-view data ---------------------------------------------------

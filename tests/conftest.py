@@ -1,9 +1,9 @@
 import pytest
 
-from hamjepa import certify
+from hamjepa import trainer
 
 
 @pytest.fixture(autouse=True, scope="session")
 def process_setup():
     """Run the tests under the process set-up that every CLI command uses."""
-    certify.setup_process()
+    trainer.setup_process()

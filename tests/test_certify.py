@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from hamjepa import certify
+from hamjepa import certify, trainer
 from hamjepa.trainer import ConfigError
 
 # checks that each take well under a second
@@ -263,13 +263,13 @@ sys.exit(code)
 def openblas_functions(verb):
     """The ctypes ``openblas_<verb>_num_threads`` functions, ``verb`` "get"
     or "set", of each OpenBLAS loaded in this process, under every name that
-    ``certify`` knows (Linux; elsewhere none)."""
+    ``trainer`` knows (Linux; elsewhere none)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()})
     except OSError:
         return []
-    names = [name.replace("_set_", f"_{verb}_") for name in certify._OPENBLAS_SETTERS]
+    names = [name.replace("_set_", f"_{verb}_") for name in trainer._OPENBLAS_SETTERS]
     functions = []
     for path in paths:
         lib = ctypes.CDLL(path)

@@ -720,8 +720,21 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_certification_code():
+    # train and diagnose read neither module; cmd_verify imports certify
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(certify.__file__)))
+    script = (
+        "import sys, hamjepa.cli; "
+        "print([m for m in ('hamjepa.certify', 'hamjepa.geomtheory') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 # --- process set-up -----------------------------------------------------------
-# certify.setup_process, which main calls before every command
+# trainer.setup_process, which main calls before every command
 
 
 class _FakeLibc:
@@ -744,13 +757,13 @@ def _fake_cdll(monkeypatch, log, has_mallopt=True, error=None):
             raise error
         return _FakeLibc(log, has_mallopt)
 
-    monkeypatch.setattr(certify.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(trainer.ctypes, "CDLL", cdll)
 
 
 def test_malloc_thresholds_are_fixed_through_mallopt(monkeypatch):
     log = []
     _fake_cdll(monkeypatch, log)
-    certify._fix_malloc_thresholds()
+    trainer._fix_malloc_thresholds()
     assert log == [("mallopt", -3, 32 * 2**20), ("mallopt", -1, 64 * 2**20)]
 
 
@@ -758,18 +771,18 @@ def test_malloc_thresholds_are_fixed_through_mallopt(monkeypatch):
 def test_malloc_setup_is_a_no_op_without_mallopt(monkeypatch, has_mallopt, error):
     log = []
     _fake_cdll(monkeypatch, log, has_mallopt, error)
-    certify._fix_malloc_thresholds()
+    trainer._fix_malloc_thresholds()
     assert log == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
 def test_glibc_accepts_the_malloc_thresholds():
-    ctypes = certify.ctypes
+    ctypes = trainer.ctypes
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     # mallopt returns 1 when it takes a value and 0 when the value is out of range
-    assert mallopt(certify.M_MMAP_THRESHOLD, certify.MMAP_THRESHOLD_BYTES) == 1
-    assert mallopt(certify.M_TRIM_THRESHOLD, certify.TRIM_THRESHOLD_BYTES) == 1
+    assert mallopt(trainer.M_MMAP_THRESHOLD, trainer.MMAP_THRESHOLD_BYTES) == 1
+    assert mallopt(trainer.M_TRIM_THRESHOLD, trainer.TRIM_THRESHOLD_BYTES) == 1
 
 
 @pytest.mark.parametrize(
@@ -784,7 +797,7 @@ def test_glibc_accepts_the_malloc_thresholds():
 def test_main_sets_up_the_process_before_any_command(monkeypatch, argv):
     log = []
     _fake_cdll(monkeypatch, log)
-    monkeypatch.setattr(certify, "_one_blas_thread", lambda: log.append(("blas",)))
+    monkeypatch.setattr(trainer, "_one_blas_thread", lambda: log.append(("blas",)))
 
     def command(args):
         log.append(("command", args.command))
@@ -802,14 +815,14 @@ def test_main_sets_up_the_process_before_any_command(monkeypatch, argv):
 
 def test_setup_process_twice_is_harmless(tmp_path):
     # a second call, as run_checks makes under main, repeats the same settings
-    certify.setup_process()
-    certify.setup_process()
+    trainer.setup_process()
+    trainer.setup_process()
     assert main(["verify", "--filter", "convergence_order", "--out", str(tmp_path)]) == 0
 
 
 def test_run_checks_sets_up_the_process(monkeypatch):
     log = []
-    monkeypatch.setattr(certify, "setup_process", lambda: log.append("setup"))
+    monkeypatch.setattr(trainer, "setup_process", lambda: log.append("setup"))
     monkeypatch.setattr(certify, "worker_count", lambda n: 1)
     monkeypatch.setitem(certify.CHECKS, "stub", lambda seed: (True, {}))
     assert [r.name for r in certify.run_checks(["stub"])] == ["stub"]

@@ -371,19 +371,20 @@ def test_zero_scale_zeroes_residual_gradients_of_state_loss():
     assert not np.allclose(dq, np.ones(2))  # the quadratic base still acts on the state
 
 
-def test_rollout_gradients_match_finite_differences():
+def _assert_rollout_gradients_match_fd(final_kick, p_weight):
     net = init_potential(3, np.random.default_rng(4), hidden_dim=8, depth=2, alpha=0.7, scale=0.9)
     rng = np.random.default_rng(5)
     st = PhaseState(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
     tgt = rng.standard_normal((2, 3))
+    tgt_p = rng.standard_normal((2, 3))
     spec = RolloutSpec(0.08, 2)
 
     def loss(net2, q0, p0):
-        out = rollout(net2, PhaseState(q0, p0), spec)
-        return 0.5 * np.sum((out.q - tgt) ** 2)
+        out = rollout(net2, PhaseState(q0, p0), spec, final_kick=final_kick)
+        return 0.5 * np.sum((out.q - tgt) ** 2) + 0.5 * p_weight * np.sum((out.p - tgt_p) ** 2)
 
-    out, tape = rollout(net, st, spec, record=True)
-    dq0, dp0, grads = tape.backward(out.q - tgt, np.zeros_like(out.p))
+    out, tape = rollout(net, st, spec, record=True, final_kick=final_kick)
+    dq0, dp0, grads = tape.backward(out.q - tgt, p_weight * (out.p - tgt_p))
 
     h = 1e-6
     for b in range(2):
@@ -412,6 +413,15 @@ def test_rollout_gradients_match_finite_differences():
         nm.biases[li][r] -= h
         fd = (loss(np_, st.q, st.p) - loss(nm, st.q, st.p)) / (2 * h)
         assert abs(grads.d_biases[li][r] - fd) <= 1e-4 * max(abs(fd), 1e-4)
+
+
+def test_rollout_gradients_match_finite_differences():
+    _assert_rollout_gradients_match_fd(final_kick=True, p_weight=0.0)
+
+
+def test_stopped_rollout_adjoint_matches_finite_differences():
+    # the tape of (q_0, p_0) -> (q_K, p_{K-1/2}) with a loss that reads p too
+    _assert_rollout_gradients_match_fd(final_kick=False, p_weight=0.7)
 
 
 # Reference force kernels: the plain form that recomputes 1 - a^2 and
@@ -535,6 +545,17 @@ def test_unrecorded_rollout_ends_in_the_recorded_state(steps):
     recorded, tape = rollout(net, state, spec, record=True)
     assert _same_bits(out.q, recorded.q) and _same_bits(out.p, recorded.p)
     assert len(tape.records) == steps + 1
+    # stopped after the last drift: the same q_K, no record at it
+    stopped = rollout(net, state, spec, final_kick=False)
+    stopped_rec, short_tape = rollout(net, state, spec, record=True, final_kick=False)
+    assert _same_bits(stopped.q, stopped_rec.q) and _same_bits(stopped.p, stopped_rec.p)
+    assert _same_bits(stopped_rec.q, recorded.q)
+    assert len(short_tape.records) == steps
+    # its momentum is the last half kick's: p_{K-1/2} = p_{K-1} - dt/2 grad V(q_{K-1})
+    prev = rollout(net, state, RolloutSpec(spec.dt, steps - 1)) if steps > 1 else state
+    assert _same_bits(stopped.p, prev.p - 0.5 * spec.dt * potential_eval(net, prev.q)[1])
+    for short, full in zip(short_tape.records, tape.records):
+        assert _same_bits(short.q, full.q) and _same_bits(short.grad, full.grad)
 
 
 def test_unrecorded_rollout_memory_does_not_grow_with_steps():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hamjepa import hamflow, objectives
 from hamjepa.hamflow import PhaseState, RolloutSpec, init_potential, rollout
 from hamjepa.numlin import orthonormalize_columns
 from hamjepa.objectives import (
@@ -82,13 +83,20 @@ def test_prediction_loss_detached_target_gets_no_gradient():
     assert np.abs(live.d_target.q).max() > 0
 
 
-def test_prediction_loss_gradients_match_fd():
+@pytest.mark.parametrize(
+    "match",
+    [
+        MatchSpec(mode="q", p_weight=0.4, detach_target=False),
+        MatchSpec(mode="q", detach_target=False),  # q_K alone: the rollout stops after its drift
+    ],
+    ids=["p_weight", "q_only"],
+)
+def test_prediction_loss_gradients_match_fd(match):
     net = small_net(d0=3, scale=0.6, seed=11)
     rng = RNG(4)
     s_a = PhaseState(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
     s_b = PhaseState(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
     spec = RolloutSpec(0.08, 2)
-    match = MatchSpec(mode="q", p_weight=0.4, detach_target=False)
     res = prediction_loss(net, s_a, s_b, spec, match)
 
     h = 1e-6
@@ -110,6 +118,80 @@ def test_prediction_loss_gradients_match_fd():
                 - prediction_loss(net, s_a, PhaseState(tm, s_b.p), spec, match).loss
             ) / (2 * h)
             assert abs(res.d_target.q[b, i] - fd) <= 1e-4 * max(abs(fd), 1e-5)
+
+
+def _count_force_kernels(monkeypatch) -> dict:
+    """Count the calls of hamflow's force evaluation and its reverse pass."""
+    calls = {"_eval_force": 0, "_force_backward": 0}
+    for name in calls:
+        kernel = getattr(hamflow, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(hamflow, name, counted)
+    return calls
+
+
+def _full_rollout(net, state, spec, record=False, final_kick=True):
+    """``rollout`` that always takes the final kick."""
+    return rollout(net, state, spec, record=record)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 8])
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+@pytest.mark.parametrize("detach_target", [True, False], ids=["detached", "live"])
+def test_q_only_match_stops_the_rollout_and_keeps_every_bit(
+    monkeypatch, steps, bidirectional, detach_target
+):
+    net = small_net(d0=3, scale=0.6, seed=11)
+    rng = RNG(6)
+    s_a = PhaseState(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+    s_b = PhaseState(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+    spec = RolloutSpec(0.08, steps)
+    match = MatchSpec(mode="q", detach_target=detach_target, bidirectional=bidirectional)
+    directions = 2 if bidirectional else 1
+    calls = _count_force_kernels(monkeypatch)
+
+    res = prediction_loss(net, s_a, s_b, spec, match)
+    # K force evaluations and K Hessian-vector products per direction
+    assert calls == {"_eval_force": directions * steps, "_force_backward": directions * steps}
+
+    # the reference: the full rollout and its tape's reverse pass with dp = 0
+    monkeypatch.setattr(objectives, "rollout", _full_rollout)
+    calls.update(_eval_force=0, _force_backward=0)
+    ref = prediction_loss(net, s_a, s_b, spec, match)
+    full = directions * (steps + 1)
+    assert calls == {"_eval_force": full, "_force_backward": full}
+
+    for field in ("loss", "forward_loss", "backward_loss"):
+        assert _same_bits(getattr(res, field), getattr(ref, field)), field
+    for got, want in ((res.d_source, ref.d_source), (res.d_target, ref.d_target)):
+        assert _same_bits(got.q, want.q) and _same_bits(got.p, want.p)
+    got_grads = res.net_grads.d_weights + res.net_grads.d_biases
+    ref_grads = ref.net_grads.d_weights + ref.net_grads.d_biases
+    assert all(_same_bits(got, want) for got, want in zip(got_grads, ref_grads))
+
+
+@pytest.mark.parametrize(
+    "match",
+    [MatchSpec(mode="qp", bidirectional=True), MatchSpec(mode="q", p_weight=0.3, bidirectional=True)],
+    ids=["qp", "p_weight"],
+)
+def test_a_match_that_reads_p_takes_the_final_kick(monkeypatch, match):
+    net = small_net(d0=3, scale=0.6, seed=11)
+    rng = RNG(7)
+    s_a = PhaseState(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
+    s_b = PhaseState(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
+    calls = _count_force_kernels(monkeypatch)
+    prediction_loss(net, s_a, s_b, RolloutSpec(0.08, 3), match)
+    assert calls == {"_eval_force": 2 * 4, "_force_backward": 2 * 4}
 
 
 def test_prediction_loss_rejects_mismatched_batches():
