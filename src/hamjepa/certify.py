@@ -681,16 +681,23 @@ _RUNS = {
 def _trained(seed: int, run: str) -> tuple:
     """Train ``_RUNS[run]`` at ``seed``, once per process: the checks that
     read a run share it.  Returns (validated config, step records of its
-    ``metrics.jsonl``, q-readout kNN@20), which callers only read."""
+    ``metrics.jsonl``, trained encoder), which callers only read."""
     raw = {"seed": seed, **_RUNS[run]}
     cfg = validate_config(raw)
     with tempfile.TemporaryDirectory() as tmp:
         result = train(raw, out_dir=tmp)
         with open(result["metrics_path"]) as fh:
             records = tuple(rec for rec in map(json.loads, fh) if "epoch_summary" not in rec)
-    va, _, labels, cut = trainer.run_views(cfg)
-    q = encoder_forward(result["encoder"], va)[0].q
-    return cfg, records, knn_accuracy(q[:cut], labels[:cut], q[cut:], labels[cut:], 20)
+    return cfg, records, result["encoder"]
+
+
+def _knn_q20(seed: int, run: str) -> float:
+    """kNN@20 of the q readout of ``_trained(seed, run)``, read out as
+    ``diagnose`` reads it."""
+    cfg, _, enc = _trained(seed, run)
+    views_a, labels, cut = trainer.run_first_view(cfg)
+    q = trainer.encode_features(enc, views_a)[:, : enc.out_dim // 2]
+    return knn_accuracy(q[:cut], labels[:cut], q[cut:], labels[cut:], 20)
 
 
 def check_anti_collapse_training(seed: int) -> tuple[bool, dict]:
@@ -715,8 +722,8 @@ def check_anti_collapse_training(seed: int) -> tuple[bool, dict]:
 def check_headline_gap(seed: int) -> tuple[bool, dict]:
     """The phase-space predictive run beats the mean-of-views baseline on
     the content-readout neighborhood accuracy by the frozen margin."""
-    knn_h = _trained(seed, "hjepa")[2]
-    knn_b = _trained(seed, "baseline")[2]
+    knn_h = _knn_q20(seed, "hjepa")
+    knn_b = _knn_q20(seed, "baseline")
     gap = 100.0 * (knn_h - knn_b)
     ok = gap >= TOLERANCES["headline_gap_points"]
     return ok, {"knn_hjepa_q": knn_h, "knn_baseline_q": knn_b, "gap_points": gap}
@@ -911,9 +918,10 @@ def _run_group(names, seed: int) -> list:
     return [_run_one(name, seed) for name in names]
 
 
-def run_checks(names=None, seed: int = 42) -> list:
+def run_checks(names=None, seed: int = 42, jobs=None) -> list:
     """Run the named checks (all by default) and return their results in
-    the order named.
+    the order named.  ``jobs`` is ``dispatch_plan(names)``, for a caller
+    that already holds it.
 
     Each check is a pure function of its seed, so the jobs of
     ``dispatch_plan`` run in ``worker_count`` forked worker processes, which
@@ -929,7 +937,8 @@ def run_checks(names=None, seed: int = 42) -> list:
     """
     trainer.setup_process()
     selected = _selected(names)
-    jobs = dispatch_plan(selected)
+    if jobs is None:
+        jobs = dispatch_plan(selected)
     workers = worker_count(len(jobs))
     if workers == 1:
         return [_run_one(name, seed) for name in selected]

@@ -64,7 +64,7 @@ def cmd_verify(args) -> int:
     if args.out:  # before the checks run, so that an --out that is a file fails at once
         os.makedirs(args.out, exist_ok=True)
     try:
-        results = certify.run_checks(names, seed=seed)
+        results = certify.run_checks(names, seed=seed, jobs=jobs)
     except BrokenExecutor as exc:  # a worker process died
         raise TrainingAbort(str(exc)) from exc
     all_passed = True
@@ -147,21 +147,17 @@ KNN_SWEEP = (1, 5, 10, 20, 50)
 def cmd_diagnose(args) -> int:
     cfg = trainer.validate_config(_load_config(args.config))
     enc = trainer.load_encoder(args.checkpoint)
-    views_a, views_b, labels, cut = trainer.run_views(cfg)
-    del views_b  # only the first view is read out
+    views_a, labels, cut = trainer.run_first_view(cfg)
     if enc.weights[0].shape[1] != views_a.shape[1]:
         raise TrainingAbort(
             f"checkpoint expects inputs of dim {enc.weights[0].shape[1]},"
             f" config generates dim {views_a.shape[1]}"
         )
     os.makedirs(args.out, exist_ok=True)
-    state = trainer.encoder_forward(enc, views_a)[0]  # the tape is freed at once
+    features = trainer.encode_features(enc, views_a)
     del views_a  # the readouts need only the features
-    readouts = {
-        "q": state.q,
-        "p": state.p,
-        "qp": np.concatenate([state.q, state.p], axis=1),
-    }
+    d0 = features.shape[1] // 2
+    readouts = {"q": features[:, :d0], "p": features[:, d0:], "qp": features}
     pair_rng = np.random.default_rng([cfg["seed"], 1])
     summary = {"seed": cfg["seed"], "n_train": int(cut), "n_test": int(len(labels) - cut)}
     for name, feats in readouts.items():

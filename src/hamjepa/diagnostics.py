@@ -14,11 +14,12 @@ import numpy as np
 
 from .numlin import SymMatrix, cholesky_factor, sym_eig
 
-# Test rows per similarity block in knn_accuracy.  Its four (block, n_train)
-# buffers are most of a call's scratch memory: with 3072 train and 1024 test
-# rows of dimension 16, a call peaks at 2.4 MB with 32-row blocks against
-# 7.7 MB with 128-row blocks, and diagnose's 15-call kNN sweep takes the same
-# time with either (0.61 s, one BLAS thread).
+# Test rows per similarity block in knn_accuracy.  Its three (block, n_train)
+# buffers (similarities, their partition, the chosen marks) are most of a
+# call's scratch memory: with 3072 train and 1024 test rows of dimension 16,
+# a call peaks at 2.3 MB with 32-row blocks against 7.3 MB with 128-row
+# blocks, and a 15-call kNN sweep of that size takes 0.26–0.27 s with 32-row
+# blocks against 0.30 s with 16- or 128-row blocks (one BLAS thread).
 KNN_ROW_BLOCK = 32
 
 # Largest coarse step count round(horizon / dt) that the slicedemo command
@@ -111,8 +112,11 @@ def knn_accuracy(
     The neighbors of a test row are the k train rows a stable descending
     sort of its similarities puts first: every row above the k-th largest
     similarity, then the lowest-index rows equal to it.  A partition of
-    each row finds that value; no row is sorted.  Test rows go in blocks of
-    ``KNN_ROW_BLOCK``, which bounds the similarity buffer.
+    each row finds that value; no row is sorted.  One comparison marks the
+    rows at or above it; only a row that marks more than k (ties at the
+    k-th value) is marked again, keeping its lowest-index tied rows.  The
+    votes are read from the flat indices of the marks.  Test rows go in
+    blocks of ``KNN_ROW_BLOCK``, which bounds the similarity buffer.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     test_x = np.asarray(test_x, dtype=np.float64)
@@ -134,7 +138,7 @@ def knn_accuracy(
     # one set of block buffers per call, written in place block after block
     block = (min(KNN_ROW_BLOCK, te.shape[0]), n_train)
     sims_buf, part_buf = np.empty(block), np.empty(block)
-    above_buf, tied_buf = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
+    chosen_buf = np.empty(block, dtype=bool)
     correct = 0
     for start in range(0, te.shape[0], KNN_ROW_BLOCK):
         queries = te[start : start + KNN_ROW_BLOCK]
@@ -144,15 +148,14 @@ def knn_accuracy(
         np.copyto(part, sims)
         part.partition(n_train - k, axis=1)
         kth = part[:, n_train - k, None]
-        above = np.greater(sims, kth, out=above_buf[:rows])
-        tied = np.equal(sims, kth, out=tied_buf[:rows])
-        room = k - above.sum(axis=1)
-        over = tied.sum(axis=1) > room  # more ties at the k-th value than places left
-        ties = tied[over]  # a copy, taken before tied turns into chosen
-        chosen = np.logical_or(above, tied, out=tied)
+        chosen = np.greater_equal(sims, kth, out=chosen_buf[:rows])
+        over = np.count_nonzero(chosen, axis=1) > k  # more ties at the k-th value than places left
         if over.any():
-            chosen[over] = above[over] | (ties & (np.cumsum(ties, axis=1) <= room[over, None]))
-        row, col = np.nonzero(chosen)
+            over_sims, over_kth = sims[over], kth[over]
+            above, ties = over_sims > over_kth, over_sims == over_kth
+            room = k - above.sum(axis=1)
+            chosen[over] = above | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+        row, col = np.divmod(np.flatnonzero(chosen), n_train)
         votes = np.bincount(row * n_classes + train_y[col], minlength=rows * n_classes)
         pred = np.argmax(votes.reshape(rows, n_classes), axis=1)  # lowest id on ties
         correct += int(np.sum(pred == test_y[start : start + rows]))

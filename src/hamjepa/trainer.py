@@ -178,22 +178,39 @@ def generate_views(spec: SyntheticSpec, rng: np.random.Generator):
     """Two observed views per sample: the second is the first transported by
     the exact quadratic flow before the fixed random orthogonal lift.
 
-    Returns (views_a, views_b, labels).  Draw order is fixed: class centers,
-    lift, labels, position jitter, momenta, then the two observation noises.
+    Returns (views_a, views_b, labels).  Draw order is fixed: the draws of
+    ``_draw_first_view`` (class centers, lift, labels, position jitter,
+    momenta, the first observation noise), then the second view's noise.
     """
+    views_a, labels, s0, lift = _draw_first_view(spec, rng)
+    d0 = spec.latent_dim
+    qt, pt = exact_quadratic_flow(spec.h_true, spec.flow_time, s0[:, :d0], s0[:, d0:])
+    del s0
+    st = np.concatenate([qt, pt], axis=1)
+    del qt, pt  # the view needs only the stacked states
+    views_b = _observe(st, lift, spec.noise_std, rng)
+    return views_a, views_b, labels
+
+
+def first_view(spec: SyntheticSpec, rng: np.random.Generator):
+    """(views_a, labels) of ``generate_views``, from the same draws in the
+    same order; it stops after the first view's noise, with no flow."""
+    views_a, labels, _, _ = _draw_first_view(spec, rng)
+    return views_a, labels
+
+
+def _draw_first_view(spec: SyntheticSpec, rng: np.random.Generator):
+    """The draws up to the first view and that view: (views_a, labels, the
+    stacked source states s0, the lift), which the second view reuses."""
     d0, n = spec.latent_dim, spec.n_samples
     centers = rng.standard_normal((spec.n_classes, d0))
     lift = orthonormalize_columns(rng.standard_normal((spec.obs_dim, 2 * d0)), rng)
     labels = rng.integers(0, spec.n_classes, size=n)
     q0 = centers[labels] + spec.noise_std * rng.standard_normal((n, d0))
     p0 = rng.standard_normal((n, d0))
-    qt, pt = exact_quadratic_flow(spec.h_true, spec.flow_time, q0, p0)
     s0 = np.concatenate([q0, p0], axis=1)
-    st = np.concatenate([qt, pt], axis=1)
-    del q0, p0, qt, pt  # the views need only the stacked states
-    views_a = _observe(s0, lift, spec.noise_std, rng)
-    views_b = _observe(st, lift, spec.noise_std, rng)
-    return views_a, views_b, labels
+    del q0, p0  # the views need only the stacked states
+    return _observe(s0, lift, spec.noise_std, rng), labels, s0, lift
 
 
 def _observe(states: np.ndarray, lift: np.ndarray, noise_std: float, rng: np.random.Generator):
@@ -253,6 +270,34 @@ def encoder_forward(enc: Encoder, batch: np.ndarray):
     z += enc.biases[-1]
     d0 = enc.out_dim // 2
     return PhaseState(z[:, :d0], z[:, d0:]), acts
+
+
+# Rows per block of encode_features.  A block's activations are freed before
+# the next block starts, so a readout of 4096 rows holds (512, width) layers,
+# not the whole tape.
+ENCODE_ROW_BLOCK = 512
+
+
+def encode_features(enc: Encoder, batch: np.ndarray) -> np.ndarray:
+    """The encoder output of ``encoder_forward`` as one (rows, out_dim)
+    array, q in its first half of columns and p in the second, for a
+    readout that needs no gradient: the rows go through in blocks of
+    ``ENCODE_ROW_BLOCK``, no tape is kept, and each block is written into
+    the array allocated once.
+
+    The last block also takes the rows left over, so no block is shorter
+    than ``ENCODE_ROW_BLOCK`` unless it is the only one.  BLAS may compute a
+    short product with another kernel (OpenBLAS rounds a (75, 32) × (32, 16)
+    product differently from the same rows of a longer one), and a
+    full-size block rounds as one pass over all rows does."""
+    x = np.asarray(batch, dtype=np.float64)
+    n = x.shape[0]
+    z = np.empty((n, enc.out_dim))
+    starts = list(range(0, max(n - ENCODE_ROW_BLOCK, 0) + 1, ENCODE_ROW_BLOCK))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        state = encoder_forward(enc, x[start:stop])[0]
+        np.concatenate([state.q, state.p], axis=1, out=z[start:stop])
+    return z
 
 
 def encoder_backward(enc: Encoder, acts: list, dz: np.ndarray):
@@ -852,7 +897,19 @@ def run_views(cfg: dict) -> tuple:
     fitting on the first ``cut`` samples and testing on the rest."""
     rng = seed_streams(cfg["seed"])["data"]
     views_a, views_b, labels = generate_views(synthetic_spec_from_config(cfg), rng)
-    return views_a, views_b, labels, (3 * len(labels)) // 4
+    return views_a, views_b, labels, _eval_cut(labels)
+
+
+def run_first_view(cfg: dict) -> tuple:
+    """(views_a, labels, cut) of ``run_views``, without the second view:
+    what a frozen-feature readout reads."""
+    rng = seed_streams(cfg["seed"])["data"]
+    views_a, labels = first_view(synthetic_spec_from_config(cfg), rng)
+    return views_a, labels, _eval_cut(labels)
+
+
+def _eval_cut(labels: np.ndarray) -> int:
+    return (3 * len(labels)) // 4
 
 
 def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:

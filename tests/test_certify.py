@@ -323,12 +323,21 @@ def test_training_checks_share_their_runs(monkeypatch):
         calls.append(cfg)
         return certify.trainer.train(cfg, out_dir=out_dir)
 
+    knn_calls, knn = [], certify.knn_accuracy
+
+    def counted_knn(*args):
+        knn_calls.append(args)
+        return knn(*args)
+
     monkeypatch.setattr(certify, "train", counted_train)
+    monkeypatch.setattr(certify, "knn_accuracy", counted_knn)
     certify._trained.cache_clear()  # monkeypatch does not undo a cache
     try:
         certify.check_anti_collapse_training(3)
+        assert knn_calls == []  # no readout of the hjepa or the ablated run
         certify.check_headline_gap(3)
         assert len(calls) == 3  # hjepa, ablated, baseline: the hjepa run is shared
+        assert len(knn_calls) == 2  # the q readouts of hjepa and baseline
         certify.check_determinism(3)
         assert len(calls) == 7  # determinism trains its own two pairs
     finally:

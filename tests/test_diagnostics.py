@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hamjepa.diagnostics import (
+    KNN_ROW_BLOCK,
     cosine_norm_stats,
     directional_discrepancy,
     harmonic_slice_demo,
@@ -142,13 +143,14 @@ def test_knn_validates_k():
             knn_accuracy(np.ones((3, 2)), np.zeros(3, dtype=int), np.ones((1, 2)), np.zeros(1, dtype=int), k=k)
 
 
+def normalize_rows(a):
+    n = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
+    return np.where(n > 0, a / np.where(n > 0, n, 1.0), 0.0)
+
+
 def reference_knn_predictions(train_x, train_y, test_x, k):
     """Per-row stable argsort of the full similarity matrix, then a vote."""
-    def normalize(a):
-        n = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
-        return np.where(n > 0, a / np.where(n > 0, n, 1.0), 0.0)
-
-    sims = normalize(test_x) @ normalize(train_x).T
+    sims = normalize_rows(test_x) @ normalize_rows(train_x).T
     n_classes = int(train_y.max()) + 1
     preds = []
     for row in range(sims.shape[0]):
@@ -188,6 +190,57 @@ def test_knn_matches_stable_argsort_reference_on_ties(n_test, k):
     assert knn_accuracy(train_x, train_y, test_x, test_y, k) == np.mean(expected == test_y)
 
 
+def tie_overflow_rows(train_x, test_x, k):
+    """Indices of the test rows with more than k train rows at or above
+    their k-th largest similarity: more ties at the k-th value than places."""
+    sims = normalize_rows(test_x) @ normalize_rows(train_x).T
+    kth = -np.sort(-sims, axis=1)[:, k - 1, None]
+    return np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+
+
+def tied_group_features(rng, n_test, overflow):
+    """Train rows: 200 distinct Gaussian rows, with 12 copies of e_0 and 9 of
+    e_1 scattered among them.  A test row in ``overflow`` is 1, 2 or 4 times
+    e_0 or e_1, so its similarity 1 ties across a whole group of copies; any
+    other test row is Gaussian with -5 in columns 0 and 1, which puts both
+    groups at the bottom of its similarities.  Every tie is exact."""
+    dim = 16
+    train_x = rng.standard_normal((221, dim))
+    groups = rng.permutation(221)[:21]
+    train_x[groups] = 0.0
+    train_x[groups[:12], 0] = 1.0
+    train_x[groups[12:], 1] = 1.0
+    test_x = rng.standard_normal((n_test, dim))
+    test_x[:, :2] = -5.0
+    for row in overflow:
+        test_x[row] = 0.0
+        test_x[row, rng.integers(0, 2)] = 2.0 ** rng.integers(0, 3)
+    return train_x, test_x
+
+
+@pytest.mark.parametrize(
+    "n_test, overflow",
+    [
+        (KNN_ROW_BLOCK, [0, 3, 17, KNN_ROW_BLOCK - 1]),  # some rows of one block
+        (KNN_ROW_BLOCK + 7, list(range(KNN_ROW_BLOCK + 7))),  # every row
+        (3 * KNN_ROW_BLOCK, [KNN_ROW_BLOCK - 2, KNN_ROW_BLOCK - 1, KNN_ROW_BLOCK, KNN_ROW_BLOCK + 1]),
+    ],
+    ids=["some-rows", "every-row", "across-blocks"],
+)
+@pytest.mark.parametrize("k", [1, 7, None], ids=["k1", "k7", "kall"])
+def test_knn_matches_stable_argsort_reference_on_tie_overflow(n_test, overflow, k):
+    rng = np.random.default_rng(33)
+    train_x, test_x = tied_group_features(rng, n_test, overflow)
+    train_y = rng.integers(0, 3, size=len(train_x))
+    k = k or len(train_y)
+    # k = n_train takes every train row, so no row can overflow
+    assert list(tie_overflow_rows(train_x, test_x, k)) == (overflow if k < 9 else [])
+    expected = reference_knn_predictions(train_x, train_y, test_x, k)
+    assert knn_accuracy(train_x, train_y, test_x, expected, k) == 1.0
+    test_y = rng.integers(0, 3, size=n_test)
+    assert knn_accuracy(train_x, train_y, test_x, test_y, k) == np.mean(expected == test_y)
+
+
 def test_knn_scratch_memory_is_bounded_by_the_row_block():
     rng = np.random.default_rng(32)
     train_x, test_x = rng.standard_normal((3072, 16)), rng.standard_normal((1024, 16))
@@ -198,7 +251,7 @@ def test_knn_scratch_memory_is_bounded_by_the_row_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # four (32, 3072) block buffers and the normalized rows: 2.4 MB; 128-row blocks would peak at 7.7 MB
+    # three (32, 3072) block buffers and the normalized rows: 2.3 MB; 128-row blocks would peak at 7.3 MB
     assert peak <= 3 * 2**20
 
 

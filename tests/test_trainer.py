@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hamjepa.numlin import SPDOperator, orthonormalize_columns
+from hamjepa import trainer
 from hamjepa.hamflow import init_potential
 from hamjepa.trainer import (
     ConfigError,
@@ -19,8 +20,11 @@ from hamjepa.trainer import (
     _build_settings,
     adamw_step,
     encoder_backward,
+    ENCODE_ROW_BLOCK,
+    encode_features,
     encoder_forward,
     exact_quadratic_flow,
+    first_view,
     generate_views,
     hamjepa_train_step,
     init_encoder,
@@ -29,6 +33,7 @@ from hamjepa.trainer import (
     named_params,
     projection_caches,
     residual_scale_at,
+    run_first_view,
     run_views,
     save_checkpoint,
     synthetic_spec_from_config,
@@ -75,8 +80,10 @@ def test_views_bitwise_reproducible():
         assert np.array_equal(x, y)
 
 
-def reference_generate_views(spec, rng):
-    """generate_views as written before its views were built in place."""
+def reference_generate_views(spec, rng, second_view=True):
+    """generate_views as written before its views were built in place; with
+    ``second_view=False`` it stops after the first view's noise and returns
+    (views_a, labels)."""
     d0, n = spec.latent_dim, spec.n_samples
     centers = rng.standard_normal((spec.n_classes, d0))
     lift = orthonormalize_columns(rng.standard_normal((spec.obs_dim, 2 * d0)), rng)
@@ -87,6 +94,8 @@ def reference_generate_views(spec, rng):
     s0 = np.concatenate([q0, p0], axis=1)
     st = np.concatenate([qt, pt], axis=1)
     views_a = s0 @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
+    if not second_view:
+        return views_a, labels
     views_b = st @ lift.T + spec.noise_std * rng.standard_normal((n, spec.obs_dim))
     return views_a, views_b, labels
 
@@ -104,6 +113,48 @@ def test_generate_views_matches_reference_bitwise(n_samples):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     # same draws in the same order: the stream ends where it ended before
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_samples", [1, 300, None], ids=["n1", "n300", "default"])
+def test_first_view_is_the_first_of_generate_views_without_the_flow(monkeypatch, n_samples):
+    if n_samples is None:
+        spec = synthetic_spec_from_config(validate_config({"seed": 42}))
+    else:
+        spec = tiny_spec(n_samples=n_samples)
+    views_a, _, labels = generate_views(spec, np.random.default_rng(42))
+    flows = []
+
+    def counted_flow(*args):
+        flows.append(args)
+        return exact_quadratic_flow(*args)
+
+    monkeypatch.setattr(trainer, "exact_quadratic_flow", counted_flow)
+    rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+    got_a, got_labels = first_view(spec, rng)
+    assert flows == []
+    assert got_a.dtype == views_a.dtype and np.array_equal(got_a, views_a)
+    assert got_labels.dtype == labels.dtype and np.array_equal(got_labels, labels)
+    # the same draws, and none after the first view's noise
+    reference_generate_views(spec, ref_rng, second_view=False)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    generate_views(spec, np.random.default_rng(42))
+    assert len(flows) == 1  # the count sees generate_views' flow
+
+
+@pytest.mark.parametrize(
+    "rows", [1, ENCODE_ROW_BLOCK - 1, ENCODE_ROW_BLOCK, ENCODE_ROW_BLOCK + 1, 2 * ENCODE_ROW_BLOCK + 37]
+)
+@pytest.mark.parametrize("depth", [0, 2])
+def test_encode_features_matches_one_encoder_forward_bitwise(depth, rows):
+    rng = np.random.default_rng(200 + depth)
+    enc = init_encoder(32, [64] * depth, 16, rng)
+    for b in enc.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = 2.0 * rng.standard_normal((rows, 32))
+    state, _ = encoder_forward(enc, x)
+    z = encode_features(enc, x)
+    assert z.shape == (rows, 16) and z.dtype == np.float64
+    assert np.array_equal(z[:, :8], state.q) and np.array_equal(z[:, 8:], state.p)
 
 
 def test_exact_flow_conserves_energy():
@@ -368,6 +419,9 @@ def test_run_views_are_the_training_data(tmp_path):
     assert np.array_equal(labels, result["labels"])
     assert views_a.shape == views_b.shape == (256, result["encoder"].weights[0].shape[1])
     assert cut == 192
+    first_a, first_labels, first_cut = run_first_view(validate_config(cfg))
+    assert np.array_equal(first_a, views_a) and np.array_equal(first_labels, labels)
+    assert first_cut == cut
 
 
 def test_train_zero_epochs_initial_checkpoint_only(tmp_path):
