@@ -696,7 +696,7 @@ def _knn_q20(seed: int, run: str) -> float:
     ``diagnose`` reads it."""
     cfg, _, enc = _trained(seed, run)
     views_a, labels, cut = trainer.run_first_view(cfg)
-    q = trainer.encode_features(enc, views_a)[:, : enc.out_dim // 2]
+    q = trainer.encode_readouts(enc, views_a)["q"]
     return knn_accuracy(q[:cut], labels[:cut], q[cut:], labels[cut:], 20)
 
 
@@ -918,10 +918,9 @@ def _run_group(names, seed: int) -> list:
     return [_run_one(name, seed) for name in names]
 
 
-def run_checks(names=None, seed: int = 42, jobs=None) -> list:
+def run_checks(names=None, seed: int = 42) -> list:
     """Run the named checks (all by default) and return their results in
-    the order named.  ``jobs`` is ``dispatch_plan(names)``, for a caller
-    that already holds it.
+    the order named.
 
     Each check is a pure function of its seed, so the jobs of
     ``dispatch_plan`` run in ``worker_count`` forked worker processes, which
@@ -937,8 +936,7 @@ def run_checks(names=None, seed: int = 42, jobs=None) -> list:
     """
     trainer.setup_process()
     selected = _selected(names)
-    if jobs is None:
-        jobs = dispatch_plan(selected)
+    jobs = dispatch_plan(selected)
     workers = worker_count(len(jobs))
     if workers == 1:
         return [_run_one(name, seed) for name in selected]

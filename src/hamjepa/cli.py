@@ -64,7 +64,7 @@ def cmd_verify(args) -> int:
     if args.out:  # before the checks run, so that an --out that is a file fails at once
         os.makedirs(args.out, exist_ok=True)
     try:
-        results = certify.run_checks(names, seed=seed, jobs=jobs)
+        results = certify.run_checks(names, seed=seed)
     except BrokenExecutor as exc:  # a worker process died
         raise TrainingAbort(str(exc)) from exc
     all_passed = True
@@ -154,10 +154,8 @@ def cmd_diagnose(args) -> int:
             f" config generates dim {views_a.shape[1]}"
         )
     os.makedirs(args.out, exist_ok=True)
-    features = trainer.encode_features(enc, views_a)
+    readouts = trainer.encode_readouts(enc, views_a)
     del views_a  # the readouts need only the features
-    d0 = features.shape[1] // 2
-    readouts = {"q": features[:, :d0], "p": features[:, d0:], "qp": features}
     pair_rng = np.random.default_rng([cfg["seed"], 1])
     summary = {"seed": cfg["seed"], "n_train": int(cut), "n_test": int(len(labels) - cut)}
     for name, feats in readouts.items():

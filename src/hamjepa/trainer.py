@@ -192,16 +192,10 @@ def generate_views(spec: SyntheticSpec, rng: np.random.Generator):
     return views_a, views_b, labels
 
 
-def first_view(spec: SyntheticSpec, rng: np.random.Generator):
-    """(views_a, labels) of ``generate_views``, from the same draws in the
-    same order; it stops after the first view's noise, with no flow."""
-    views_a, labels, _, _ = _draw_first_view(spec, rng)
-    return views_a, labels
-
-
 def _draw_first_view(spec: SyntheticSpec, rng: np.random.Generator):
-    """The draws up to the first view and that view: (views_a, labels, the
-    stacked source states s0, the lift), which the second view reuses."""
+    """The draws of ``generate_views`` up to and including the first view's
+    noise, with no flow: (views_a, labels, the stacked source states s0,
+    the lift), the last two for the second view."""
     d0, n = spec.latent_dim, spec.n_samples
     centers = rng.standard_normal((spec.n_classes, d0))
     lift = orthonormalize_columns(rng.standard_normal((spec.obs_dim, 2 * d0)), rng)
@@ -272,18 +266,19 @@ def encoder_forward(enc: Encoder, batch: np.ndarray):
     return PhaseState(z[:, :d0], z[:, d0:]), acts
 
 
-# Rows per block of encode_features.  A block's activations are freed before
+# Rows per block of encode_readouts.  A block's activations are freed before
 # the next block starts, so a readout of 4096 rows holds (512, width) layers,
 # not the whole tape.
 ENCODE_ROW_BLOCK = 512
 
 
-def encode_features(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    """The encoder output of ``encoder_forward`` as one (rows, out_dim)
-    array, q in its first half of columns and p in the second, for a
-    readout that needs no gradient: the rows go through in blocks of
-    ``ENCODE_ROW_BLOCK``, no tape is kept, and each block is written into
-    the array allocated once.
+def encode_readouts(enc: Encoder, batch: np.ndarray) -> dict:
+    """The encoder output of ``encoder_forward`` as the readouts ``q``,
+    ``p`` and ``qp`` (both, q first), for a readout that needs no
+    gradient.  The rows go through in blocks of ``ENCODE_ROW_BLOCK``, no
+    tape is kept, and each block is written into one (rows, out_dim) array
+    allocated once: ``qp`` is that array, ``q`` and ``p`` views of its
+    column halves.
 
     The last block also takes the rows left over, so no block is shorter
     than ``ENCODE_ROW_BLOCK`` unless it is the only one.  BLAS may compute a
@@ -297,7 +292,8 @@ def encode_features(enc: Encoder, batch: np.ndarray) -> np.ndarray:
     for start, stop in zip(starts, starts[1:] + [n]):
         state = encoder_forward(enc, x[start:stop])[0]
         np.concatenate([state.q, state.p], axis=1, out=z[start:stop])
-    return z
+    d0 = enc.out_dim // 2
+    return {"q": z[:, :d0], "p": z[:, d0:], "qp": z}
 
 
 def encoder_backward(enc: Encoder, acts: list, dz: np.ndarray):
@@ -904,7 +900,7 @@ def run_first_view(cfg: dict) -> tuple:
     """(views_a, labels, cut) of ``run_views``, without the second view:
     what a frozen-feature readout reads."""
     rng = seed_streams(cfg["seed"])["data"]
-    views_a, labels = first_view(synthetic_spec_from_config(cfg), rng)
+    views_a, labels = _draw_first_view(synthetic_spec_from_config(cfg), rng)[:2]
     return views_a, labels, _eval_cut(labels)
 
 

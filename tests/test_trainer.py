@@ -21,10 +21,9 @@ from hamjepa.trainer import (
     adamw_step,
     encoder_backward,
     ENCODE_ROW_BLOCK,
-    encode_features,
+    encode_readouts,
     encoder_forward,
     exact_quadratic_flow,
-    first_view,
     generate_views,
     hamjepa_train_step,
     init_encoder,
@@ -116,7 +115,7 @@ def test_generate_views_matches_reference_bitwise(n_samples):
 
 
 @pytest.mark.parametrize("n_samples", [1, 300, None], ids=["n1", "n300", "default"])
-def test_first_view_is_the_first_of_generate_views_without_the_flow(monkeypatch, n_samples):
+def test_first_view_draw_is_the_first_of_generate_views_without_the_flow(monkeypatch, n_samples):
     if n_samples is None:
         spec = synthetic_spec_from_config(validate_config({"seed": 42}))
     else:
@@ -130,7 +129,7 @@ def test_first_view_is_the_first_of_generate_views_without_the_flow(monkeypatch,
 
     monkeypatch.setattr(trainer, "exact_quadratic_flow", counted_flow)
     rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
-    got_a, got_labels = first_view(spec, rng)
+    got_a, got_labels = trainer._draw_first_view(spec, rng)[:2]  # as run_first_view takes it
     assert flows == []
     assert got_a.dtype == views_a.dtype and np.array_equal(got_a, views_a)
     assert got_labels.dtype == labels.dtype and np.array_equal(got_labels, labels)
@@ -145,16 +144,20 @@ def test_first_view_is_the_first_of_generate_views_without_the_flow(monkeypatch,
     "rows", [1, ENCODE_ROW_BLOCK - 1, ENCODE_ROW_BLOCK, ENCODE_ROW_BLOCK + 1, 2 * ENCODE_ROW_BLOCK + 37]
 )
 @pytest.mark.parametrize("depth", [0, 2])
-def test_encode_features_matches_one_encoder_forward_bitwise(depth, rows):
+def test_encode_readouts_match_one_encoder_forward_bitwise(depth, rows):
     rng = np.random.default_rng(200 + depth)
     enc = init_encoder(32, [64] * depth, 16, rng)
     for b in enc.biases:
         b[:] = rng.standard_normal(b.shape)
     x = 2.0 * rng.standard_normal((rows, 32))
     state, _ = encoder_forward(enc, x)
-    z = encode_features(enc, x)
-    assert z.shape == (rows, 16) and z.dtype == np.float64
-    assert np.array_equal(z[:, :8], state.q) and np.array_equal(z[:, 8:], state.p)
+    readouts = encode_readouts(enc, x)
+    qp = readouts["qp"]
+    assert qp.shape == (rows, 16) and qp.dtype == np.float64
+    assert np.array_equal(readouts["q"], state.q) and np.array_equal(readouts["p"], state.p)
+    assert np.array_equal(qp, np.concatenate([state.q, state.p], axis=1))
+    # q and p are the column halves of qp, not copies
+    assert readouts["q"].base is qp and readouts["p"].base is qp
 
 
 def test_exact_flow_conserves_energy():
