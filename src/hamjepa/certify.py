@@ -15,7 +15,6 @@ only name, and ``run_checks`` pairs the two into a CheckResult.
 import copy
 import functools
 import hashlib
-import json
 import os
 import tempfile
 import time
@@ -681,14 +680,12 @@ _RUNS = {
 def _trained(seed: int, run: str) -> tuple:
     """Train ``_RUNS[run]`` at ``seed``, once per process: the checks that
     read a run share it.  Returns (validated config, step records of its
-    ``metrics.jsonl``, trained encoder), which callers only read."""
-    raw = {"seed": seed, **_RUNS[run]}
-    cfg = validate_config(raw)
-    with tempfile.TemporaryDirectory() as tmp:
-        result = train(raw, out_dir=tmp)
-        with open(result["metrics_path"]) as fh:
-            records = tuple(rec for rec in map(json.loads, fh) if "epoch_summary" not in rec)
-    return cfg, records, result["encoder"]
+    ``metrics.jsonl``, trained encoder), which callers only read; the run's
+    data is not kept."""
+    cfg = validate_config({"seed": seed, **_RUNS[run]})
+    state = trainer.build_run(cfg)
+    records = tuple(rec for rec in trainer.run_epochs(state) if "epoch_summary" not in rec)
+    return cfg, records, state.encoder
 
 
 def _knn_q20(seed: int, run: str) -> float:

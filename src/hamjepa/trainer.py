@@ -6,8 +6,11 @@ states, AdamW with decoupled weight decay, warmup + cosine learning-rate
 and residual-scale schedules, and the two step types: the phase-space
 predictive step (rollout prediction plus anti-collapse regularizers) and
 the mean-of-views baseline step with the sliced-CF regularizer.  Each is a
-pure loss-and-gradients function followed by one shared update.  The
-process set-up that every command runs first lives here too.
+pure loss-and-gradients function followed by one shared update.
+``build_run`` makes a run's whole state, a ``Run``; ``run_epochs`` steps it
+and yields each line of ``metrics.jsonl``; ``train`` writes those lines and
+the checkpoints.  The process set-up that every command runs first lives
+here too.
 
 Everything is driven by a JSON config validated against one schema table,
 which gives every key its default, its kind and its range; an unknown key or
@@ -758,41 +761,6 @@ def _apply_update(
     return breakdown
 
 
-def hamjepa_train_step(
-    enc: Encoder,
-    net: PotentialNet,
-    view_a: np.ndarray,
-    view_b: np.ndarray,
-    settings: HamjepaStepSettings,
-    caches: dict,
-    opt: OptimizerState,
-    params: dict,
-    lrs: dict,
-    grad_clip: float,
-    step: int,
-) -> dict:
-    """One phase-space predictive step: loss and gradients, then the update."""
-    breakdown, grads = hamjepa_loss_and_grads(enc, net, view_a, view_b, settings, caches, step)
-    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip, step)
-
-
-def lejepa_train_step(
-    enc: Encoder,
-    views: list,
-    sigreg_spec: SIGRegSpec,
-    slice_cache: RefreshCache,
-    lambda_reg: float,
-    opt: OptimizerState,
-    params: dict,
-    lrs: dict,
-    grad_clip: float,
-    step: int,
-) -> dict:
-    """One baseline step: loss and gradients, then the update."""
-    breakdown, grads = lejepa_loss_and_grads(enc, views, sigreg_spec, slice_cache, lambda_reg, step)
-    return _apply_update(breakdown, grads, opt, params, lrs, grad_clip, step)
-
-
 # --- checkpoints ----------------------------------------------------------------
 
 
@@ -920,26 +888,37 @@ def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:
     )
 
 
-def train(cfg: dict, out_dir: str | None = None) -> dict:
-    """Run the configured training job; returns a summary dict.
+@dataclass
+class Run:
+    """Everything a training step reads or updates.  ``settings`` and
+    ``caches`` are the mode's, keyed as its loss reads them: the step
+    settings and the q and p projection caches (hjepa), or the sliced-CF
+    spec and the slice cache (baseline, whose ``potential`` is None)."""
 
-    Writes checkpoint_init/ (always), checkpoint_final/ (when epochs > 0),
-    and metrics.jsonl with one JSON object per step plus one per-epoch
-    summary line.  Bitwise deterministic for a fixed config and seed.
-    """
-    cfg = validate_config(cfg)
-    out_dir = out_dir or cfg["train"]["ckpt_dir"]
+    cfg: dict
+    encoder: Encoder
+    potential: PotentialNet | None
+    opt: OptimizerState
+    params: dict
+    schedule: ScheduleSpec
+    settings: HamjepaStepSettings | SIGRegSpec
+    caches: dict
+    views_a: np.ndarray
+    views_b: np.ndarray
+    labels: np.ndarray
+    shuffle: np.random.Generator
+
+
+def build_run(cfg: dict) -> Run:
+    """The state of a validated config's run before its first step.  Each
+    part draws from its own stream of ``seed_streams``: the data, the
+    encoder, then the potential and the projection caches (hjepa) or the
+    slice cache (baseline)."""
     rngs = seed_streams(cfg["seed"])
     views_a, views_b, labels, _ = run_views(cfg)
-    os.makedirs(out_dir, exist_ok=True)  # after the data, so a failed draw leaves no directory
-    n, obs_dim = views_a.shape
-
     model = cfg["model"]
-    enc = init_encoder(obs_dim, model["hidden_dims"], model["embed_dim"], rngs["encoder"])
-    d0 = model["embed_dim"] // 2
-
-    mode = cfg["mode"]
     train_cfg = cfg["train"]
+    enc = init_encoder(views_a.shape[1], model["hidden_dims"], model["embed_dim"], rngs["encoder"])
     epochs_total = max(train_cfg["epochs"], 1)
     schedule = ScheduleSpec(
         warmup_epochs=min(train_cfg["warmup_epochs"], epochs_total),
@@ -949,16 +928,15 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
     opt = OptimizerState(base_lr=train_cfg["lr"], weight_decay=train_cfg["weight_decay"])
     params = named_params("enc", enc.weights, enc.biases)
 
-    # The only mode branch: each mode binds its state into
-    # run_step(epoch, batch indices, encoder lr, epoch fraction, step).
-    net = None
-    if mode == "hjepa":
+    net = None  # the baseline has no potential
+    if cfg["mode"] == "hjepa":
         hj = cfg["hjepa"]
         schedule = replace(
             schedule,
             residual_scale_target=hj["residual_scale"],
             residual_warmup_epochs=hj["residual_scale_warmup_epochs"],
         )
+        d0 = model["embed_dim"] // 2
         net = init_potential(
             d0,
             rngs["potential"],
@@ -969,91 +947,115 @@ def train(cfg: dict, out_dir: str | None = None) -> dict:
         params.update(named_params("pot", net.weights, net.biases))
         settings = _build_settings(cfg)
         caches = projection_caches(d0, settings, rngs["q_proj"], rngs["p_proj"])
-
-        def run_step(epoch, idx, lr, frac, step):
-            net.scale = residual_scale_at(schedule, epoch)
-            h_lr = lr_at(schedule, train_cfg["h_lr"], frac)
-            lrs = {name: (h_lr if name.startswith("pot.") else lr) for name in params}
-            report = hamjepa_train_step(
-                enc, net, views_a[idx], views_b[idx], settings, caches,
-                opt, params, lrs, train_cfg["grad_clip"], step,
-            )
-            report["residual_scale"] = net.scale
-            return report
-
     else:
         reg = cfg["regularizer"]
         knots, weights = default_sigreg_knots(reg["n_knots"], reg["knot_max"])
-        sigreg_spec = SIGRegSpec(knots=knots, weights=weights)
-        slice_cache = RefreshCache(
+        settings = SIGRegSpec(knots=knots, weights=weights)
+        slices = RefreshCache(
             unit_slices, model["embed_dim"], reg["n_slices"], reg["refresh_interval"], rngs["slices"]
         )
+        caches = {"slices": slices}
+    return Run(
+        cfg, enc, net, opt, params, schedule, settings, caches, views_a, views_b, labels, rngs["shuffle"]
+    )
 
-        def run_step(epoch, idx, lr, frac, step):
-            return lejepa_train_step(
-                enc, [views_a[idx], views_b[idx]], sigreg_spec, slice_cache,
-                train_cfg["lambda_reg"], opt, params, dict.fromkeys(params, lr),
-                train_cfg["grad_clip"], step,
-            )
 
-    meta = {
-        "mode": mode,
-        "config": cfg,
-        "obs_dim": obs_dim,
-        "embed_dim": model["embed_dim"],
-    }
-    save_checkpoint(os.path.join(out_dir, "checkpoint_init"), enc, net, opt, meta)
+def hamjepa_train_step(run: Run, idx: np.ndarray, epoch: int, frac: float, lr: float) -> dict:
+    """One phase-space predictive step on the rows ``idx``: set the residual
+    scale of ``epoch``, take loss and gradients, and update the encoder at
+    ``lr`` and the potential at the schedule's ``h_lr`` at ``frac``."""
+    net, train_cfg, step = run.potential, run.cfg["train"], run.opt.step
+    net.scale = residual_scale_at(run.schedule, epoch)
+    h_lr = lr_at(run.schedule, train_cfg["h_lr"], frac)
+    lrs = {name: (h_lr if name.startswith("pot.") else lr) for name in run.params}
+    breakdown, grads = hamjepa_loss_and_grads(
+        run.encoder, net, run.views_a[idx], run.views_b[idx], run.settings, run.caches, step
+    )
+    report = _apply_update(breakdown, grads, run.opt, run.params, lrs, train_cfg["grad_clip"], step)
+    report["residual_scale"] = net.scale
+    return report
 
-    batch = cfg["data"]["batch_size"]
+
+def lejepa_train_step(run: Run, idx: np.ndarray, epoch: int, frac: float, lr: float) -> dict:
+    """One baseline step on the rows ``idx``, every parameter at ``lr``:
+    loss and gradients, then the update.  ``epoch`` and ``frac`` are
+    unused; both step types take the same arguments."""
+    train_cfg, step = run.cfg["train"], run.opt.step
+    views = [run.views_a[idx], run.views_b[idx]]
+    breakdown, grads = lejepa_loss_and_grads(
+        run.encoder, views, run.settings, run.caches["slices"], train_cfg["lambda_reg"], step
+    )
+    lrs = dict.fromkeys(run.params, lr)
+    return _apply_update(breakdown, grads, run.opt, run.params, lrs, train_cfg["grad_clip"], step)
+
+
+def run_epochs(run: Run):
+    """Train ``run`` for its configured epochs, yielding each line of its
+    ``metrics.jsonl`` as a dict: every step's report, then the epoch's
+    summary.  The step function is looked up by its module name when the
+    loop starts, so a wrapper rebound over that name (a tracer's span) is
+    the one that runs.  A step's index is the optimizer's step count."""
+    take_step = hamjepa_train_step if run.potential is not None else lejepa_train_step
+    n = len(run.labels)
+    batch = run.cfg["data"]["batch_size"]
     steps_per_epoch = n // batch  # the last, partial batch is dropped
-    shuffle_rng = rngs["shuffle"]
-    epochs = train_cfg["epochs"]
-    global_step = 0
-    last_report = None
+    for epoch in range(run.cfg["train"]["epochs"]):
+        order = run.shuffle.permutation(n)
+        totals = []
+        for b in range(steps_per_epoch):
+            idx = order[b * batch : (b + 1) * batch]
+            frac = min(epoch + (b + 1) / steps_per_epoch, run.schedule.total_epochs)
+            lr = lr_at(run.schedule, run.cfg["train"]["lr"], frac)
+            step = run.opt.step
+            try:
+                # a blow-up raises TrainingAbort in the step's finite checks
+                with np.errstate(over="ignore", invalid="ignore"):
+                    report = take_step(run, idx, epoch, frac, lr)
+            except OverflowError as exc:
+                raise TrainingAbort(f"overflow at step {step}: {exc}") from exc
+            report.update(lr=lr, epoch=epoch)
+            totals.append(report["total"])
+            yield report
+        yield {"epoch_summary": epoch, "mean_total": float(np.mean(totals)), "last_total": totals[-1]}
 
+
+def train(cfg: dict, out_dir: str | None = None) -> dict:
+    """Run the configured training job; returns a summary dict.
+
+    Writes checkpoint_init/ (always), checkpoint_final/ (when epochs > 0),
+    and metrics.jsonl, one JSON line per step report and epoch summary that
+    ``run_epochs`` yields.  Bitwise deterministic for a fixed config and seed.
+    """
+    cfg = validate_config(cfg)
+    out_dir = out_dir or cfg["train"]["ckpt_dir"]
+    run = build_run(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # after the data, so a failed draw leaves no directory
+    meta = {
+        "mode": cfg["mode"],
+        "config": cfg,
+        "obs_dim": run.views_a.shape[1],
+        "embed_dim": cfg["model"]["embed_dim"],
+    }
+    save_checkpoint(os.path.join(out_dir, "checkpoint_init"), run.encoder, run.potential, run.opt, meta)
+
+    last_report = None
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as metrics:
-        for epoch in range(epochs):
-            order = shuffle_rng.permutation(n)
-            epoch_totals = []
-            for b in range(steps_per_epoch):
-                idx = order[b * batch : (b + 1) * batch]
-                frac = min(epoch + (b + 1) / steps_per_epoch, schedule.total_epochs)
-                lr = lr_at(schedule, train_cfg["lr"], frac)
-                try:
-                    # a blow-up raises TrainingAbort in the step's finite checks
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        report = run_step(epoch, idx, lr, frac, global_step)
-                except OverflowError as exc:
-                    raise TrainingAbort(f"overflow at step {global_step}: {exc}") from exc
-                report["lr"] = lr
-                report["epoch"] = epoch
-                epoch_totals.append(report["total"])
-                metrics.write(json.dumps(report, sort_keys=True) + "\n")
-                last_report = report
-                global_step += 1
-            metrics.write(
-                json.dumps(
-                    {
-                        "epoch_summary": epoch,
-                        "mean_total": float(np.mean(epoch_totals)),
-                        "last_total": epoch_totals[-1],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for line in run_epochs(run):
+            metrics.write(json.dumps(line, sort_keys=True) + "\n")
+            if "epoch_summary" not in line:
+                last_report = line
 
-    if epochs > 0:
-        save_checkpoint(os.path.join(out_dir, "checkpoint_final"), enc, net, opt, meta)
+    if cfg["train"]["epochs"] > 0:
+        save_checkpoint(os.path.join(out_dir, "checkpoint_final"), run.encoder, run.potential, run.opt, meta)
 
     return {
-        "mode": mode,
+        "mode": cfg["mode"],
         "out_dir": out_dir,
-        "steps": global_step,
+        "steps": run.opt.step,
         "final": last_report,
         "metrics_path": metrics_path,
-        "encoder": enc,
-        "potential": net,
-        "labels": labels,
+        "encoder": run.encoder,
+        "potential": run.potential,
+        "labels": run.labels,
     }

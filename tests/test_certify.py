@@ -317,11 +317,11 @@ def shrink_runs(monkeypatch):
 
 def test_training_checks_share_their_runs(monkeypatch):
     shrink_runs(monkeypatch)
-    calls = []
+    calls, build_run = [], certify.trainer.build_run
 
-    def counted_train(cfg, out_dir=None):
+    def counted_build_run(cfg):
         calls.append(cfg)
-        return certify.trainer.train(cfg, out_dir=out_dir)
+        return build_run(cfg)
 
     knn_calls, knn = [], certify.knn_accuracy
 
@@ -329,7 +329,7 @@ def test_training_checks_share_their_runs(monkeypatch):
         knn_calls.append(args)
         return knn(*args)
 
-    monkeypatch.setattr(certify, "train", counted_train)
+    monkeypatch.setattr(certify.trainer, "build_run", counted_build_run)
     monkeypatch.setattr(certify, "knn_accuracy", counted_knn)
     certify._trained.cache_clear()  # monkeypatch does not undo a cache
     try:
@@ -348,11 +348,11 @@ def test_pooled_training_checks_share_their_runs(monkeypatch):
     # each training check reports its worker's pid and the default hjepa runs
     # that worker has trained so far, in place of its details
     shrink_runs(monkeypatch)
-    trained = []
+    trained, build_run = [], certify.trainer.build_run
 
-    def counted_train(cfg, out_dir=None):
-        trained.append("hjepa" in cfg and "loss" not in cfg)  # the default hjepa run
-        return certify.trainer.train(cfg, out_dir=out_dir)
+    def counted_build_run(cfg):
+        trained.append(cfg["mode"] == "hjepa" and cfg["loss"]["detach_target"])  # the default hjepa run
+        return build_run(cfg)
 
     def counting(check):
         def run(seed):
@@ -360,7 +360,7 @@ def test_pooled_training_checks_share_their_runs(monkeypatch):
             return passed, {"pid": os.getpid(), "hjepa_trainings": sum(trained)}
         return run
 
-    monkeypatch.setattr(certify, "train", counted_train)
+    monkeypatch.setattr(certify.trainer, "build_run", counted_build_run)
     for name in ("anti_collapse_training", "headline_gap"):
         monkeypatch.setitem(certify.CHECKS, name, counting(certify.CHECKS[name]))
     use_workers(monkeypatch, 2)

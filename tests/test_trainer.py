@@ -17,8 +17,8 @@ from hamjepa.trainer import (
     SyntheticSpec,
     TrainingAbort,
     _apply_update,
-    _build_settings,
     adamw_step,
+    build_run,
     encoder_backward,
     ENCODE_ROW_BLOCK,
     encode_readouts,
@@ -30,8 +30,8 @@ from hamjepa.trainer import (
     load_encoder,
     lr_at,
     named_params,
-    projection_caches,
     residual_scale_at,
+    run_epochs,
     run_first_view,
     run_views,
     save_checkpoint,
@@ -280,21 +280,22 @@ def test_adamw_rejects_nonfinite_gradient():
 
 
 def test_step_learning_rates_are_grouped():
-    settings = _build_settings(validate_config({"seed": 0, "hjepa": {}, "data": {"batch_size": 8}}))
-    rng = np.random.default_rng(6)
-    enc = init_encoder(12, [8], 16, rng)
-    net = init_potential(8, rng, hidden_dim=8, depth=2, alpha=1.0, scale=0.5)
-    caches = projection_caches(8, settings, np.random.default_rng(0), np.random.default_rng(1))
-    va, vb = rng.standard_normal((8, 12)), rng.standard_normal((8, 12))
-    params = named_params("enc", enc.weights, enc.biases)
-    params.update(named_params("pot", net.weights, net.biases))
-    before = {name: p.copy() for name, p in params.items()}
-    lrs = {name: (1e-2 if name.startswith("pot.") else 0.0) for name in params}
-    opt = OptimizerState(weight_decay=0.01)
-    hamjepa_train_step(enc, net, va, vb, settings, caches, opt, params, lrs, 1.0, 0)
-    changed = {name for name, p in params.items() if not np.array_equal(p, before[name])}
+    # the encoder at lr 0 and the potential at the schedule's h_lr, at the
+    # full residual scale from the first epoch
+    cfg = {
+        "seed": 0,
+        "hjepa": {"hidden_dim": 8, "residual_scale_warmup_epochs": 0},
+        "data": {"n_samples": 16, "batch_size": 8},
+        "model": {"hidden_dims": [8]},
+        "train": {"epochs": 1, "h_lr": 1e-2},
+    }
+    run = build_run(validate_config(cfg))
+    before = {name: p.copy() for name, p in run.params.items()}
+    report = hamjepa_train_step(run, np.arange(8), 0, 0.5, 0.0)
+    changed = {name for name, p in run.params.items() if not np.array_equal(p, before[name])}
     # the output bias of V never gets a gradient: the rollout only sees grad V
-    assert changed == {name for name in params if name.startswith("pot.")} - {"pot.b2"}
+    assert changed == {name for name in run.params if name.startswith("pot.")} - {"pot.b2"}
+    assert report["residual_scale"] == 0.5 and run.opt.step == 1
 
 
 def test_update_aborts_on_nonfinite_total_before_touching_params():
@@ -425,6 +426,46 @@ def test_run_views_are_the_training_data(tmp_path):
     first_a, first_labels, first_cut = run_first_view(validate_config(cfg))
     assert np.array_equal(first_a, views_a) and np.array_equal(first_labels, labels)
     assert first_cut == cut
+
+
+@pytest.mark.parametrize("mode_hjepa", [True, False])
+def test_run_epochs_yields_the_metrics_lines(tmp_path, mode_hjepa):
+    cfg = tiny_train_config("unused", epochs=2, mode_hjepa=mode_hjepa)
+    result = train(cfg, out_dir=str(tmp_path / "run"))
+    run = build_run(validate_config(cfg))
+    lines = [json.dumps(line, sort_keys=True) + "\n" for line in run_epochs(run)]
+    assert lines == open(result["metrics_path"]).readlines()
+    assert len(lines) == 2 * (256 // 64 + 1)  # each epoch's steps and its summary
+    assert result["steps"] == run.opt.step == 2 * (256 // 64)
+
+
+def test_run_epochs_calls_each_step_through_its_module_name(tmp_path, monkeypatch):
+    # a tracer times the steps by rebinding these names after import, so the
+    # loop must look them up there, not keep the functions it saw at import
+    calls = dict.fromkeys(("hamjepa_train_step", "lejepa_train_step"), 0)
+    for name in calls:
+
+        def counted(*args, name=name, step=getattr(trainer, name)):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(trainer, name, counted)
+    for mode_hjepa in (True, False):
+        cfg = tiny_train_config("unused", epochs=2, mode_hjepa=mode_hjepa)
+        train(cfg, out_dir=str(tmp_path / str(mode_hjepa)))
+    steps = (256 // 64) * 2  # steps per epoch x epochs
+    assert calls == {"hamjepa_train_step": steps, "lejepa_train_step": steps}
+
+
+def test_aborted_run_keeps_the_lines_before_its_failing_step(tmp_path):
+    # lr 1e9 blows the encoder up within the first epoch; every step before
+    # the one the abort names keeps its line, in order
+    out = tmp_path / "run"
+    with pytest.raises(TrainingAbort, match=r"at step \d+") as info:
+        train({"hjepa": {}, "train": {"lr": 1e9, "epochs": 1}}, out_dir=str(out))
+    k = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+    steps = [json.loads(line)["step"] for line in open(out / "metrics.jsonl")]
+    assert k > 0 and steps == list(range(k))
 
 
 def test_train_zero_epochs_initial_checkpoint_only(tmp_path):
